@@ -20,16 +20,15 @@ from .bounds import (
     thm2_rhs,
     thm2_upper_decomposition,
 )
-from .errors import CheckpointCorrupt, DomainError, LimitExceeded, NotCoprime, NotInvertible
+from .errors import CheckpointCorrupt, DomainError, LimitExceeded, NotCoprime
 from .pistar import (
     pi_star_bruteforce,
     pi_star_closed_small,
     pi_star_fast,
     pi_star_residue_sum,
-    primes_in_semigroup_below_s,
 )
-from .primes import is_prime, pi, pi_ap, primes_in
-from .semigroup import SemigroupPair, apery_set, contains, gaps, new_pair
+from .primes import is_prime, pi, pi_ap
+from .semigroup import SemigroupPair, contains, gaps, new_pair
 from .verify import (
     EXPECTED_COJ1_EQUALITIES,
     EXPECTED_COJ2_EXCEPTIONS,
@@ -50,10 +49,8 @@ __all__ = [
     "EXPECTED_COJ2_EXCEPTIONS",
     "LimitExceeded",
     "NotCoprime",
-    "NotInvertible",
     "SemigroupPair",
     "ap_fixed_range_bounds",
-    "apery_set",
     "case4_constant",
     "check_pair",
     "contains",
@@ -73,8 +70,6 @@ __all__ = [
     "pi_star_closed_small",
     "pi_star_fast",
     "pi_star_residue_sum",
-    "primes_in",
-    "primes_in_semigroup_below_s",
     "reproduce_thm1_cases",
     "reproduce_thm3",
     "rs_pi_lower",

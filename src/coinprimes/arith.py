@@ -1,10 +1,7 @@
-"""Elementary arithmetic: gcd, modular inverses, factorization, multiplicative functions."""
+"""Elementary arithmetic: factorization, multiplicative functions, coprime counts."""
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .errors import NotInvertible
 
 
 @dataclass(frozen=True)
@@ -13,20 +10,6 @@ class FactoredInteger:
 
     n: int
     factors: tuple
-
-
-def gcd(x: int, y: int) -> int:
-    return math.gcd(x, y)
-
-
-def mod_inverse(x: int, m: int) -> int:
-    """Inverse of x modulo m, in [0, m). Requires m >= 2."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    try:
-        return pow(x, -1, m)
-    except ValueError:
-        raise NotInvertible(f"{x} is not invertible mod {m} (gcd={math.gcd(x, m)})") from None
 
 
 def factor(n: int) -> FactoredInteger:
@@ -104,10 +87,3 @@ def coprime_count_up_to(t, a: int, factored: FactoredInteger = None) -> int:
         q = math.floor(t / d) if as_float else t // d
         total += mu * int(q)
     return total
-
-
-def coprime_sum(a: int) -> int:
-    """Sum of v in [1, a-1] coprime to a; equals a*phi(a)/2 for a >= 2."""
-    if a < 2:
-        raise ValueError("needs a >= 2")
-    return a * euler_phi(a) // 2

@@ -198,14 +198,13 @@ def _delta_iv(d, a, s, factored=None):
 
 def delta_exceeds(d, a: int, s, threshold, factored: arith.FactoredInteger = None) -> bool:
     """Guarded verdict for delta(d, a, s) > threshold (threshold exact as Fraction)."""
-    val = delta(d, a, s, factored=factored)
     thr = Fraction(threshold)
-    thr_f = float(thr)
-    scale = max(1.0, abs(val), abs(thr_f))
-    if abs(val - thr_f) > REL_GUARD * scale:
-        return val > thr_f
-    return _interval_strictly_greater(
-        _delta_iv(d, a, s, factored=factored), lambda iv: _iv_frac(iv, thr)
+    # _delta_iv counts coprimes when built, so build it only if the guard escalates
+    return guarded_strictly_greater(
+        delta(d, a, s, factored=factored),
+        float(thr),
+        lambda iv: _delta_iv(d, a, s, factored=factored)(iv),
+        lambda iv: _iv_frac(iv, thr),
     )
 
 
@@ -260,11 +259,7 @@ def validate_ap_envelope(m_max: int = 50, x_max: int = 10_000_000, points: int =
         if lo_x > x_max:
             break
         xs = log_spaced_ints(lo_x, x_max, points)
-        res = p % m
-        order = np.argsort(res, kind="stable")
-        p_sorted = p[order]
-        res_sorted = res[order]
-        cuts = np.searchsorted(res_sorted, np.arange(m + 1))
+        p_sorted, cuts = primelib.residue_classes(p, m)
         for l in range(m):
             if math.gcd(l, m) != 1:
                 continue

@@ -13,8 +13,7 @@ byte-stable across runs and thread counts.
 """
 
 import argparse
-import dataclasses
-import math
+import json
 import sys
 
 import numpy as np
@@ -25,24 +24,6 @@ from .errors import CheckpointCorrupt, DomainError, LimitExceeded, NotCoprime
 from .semigroup import gaps as semigroup_gaps
 from .semigroup import new_pair
 
-
-@dataclasses.dataclass(frozen=True)
-class OutputFormat:
-    """Rendering mode for emitted records.
-
-    kind is "table" (human-readable lines), "csv" (the fixed header row from
-    verify.CSV_HEADER, then one record per line), or "jsonl" (one JSON object
-    per line whose field names match the checkpoint schema).
-    """
-
-    kind: str
-
-
-FORMAT_TABLE = OutputFormat("table")
-FORMAT_CSV = OutputFormat("csv")
-FORMAT_JSONL = OutputFormat("jsonl")
-
-_FORMATS = {f.kind: f for f in (FORMAT_TABLE, FORMAT_CSV, FORMAT_JSONL)}
 
 _METHOD_FLAGS = {
     "fast": (pistar.METHOD_FAST,),
@@ -59,12 +40,10 @@ def _open_out(path):
 
 
 def _emit_records(records, fmt, path):
-    """Write records in the given OutputFormat to path (stdout when None)."""
-    import json
-
+    """Write records as "csv" (verify.CSV_HEADER, then one row each) or "jsonl" to path (stdout when None)."""
     fh, close = _open_out(path)
     try:
-        if fmt.kind == "csv":
+        if fmt == "csv":
             fh.write(verify.CSV_HEADER + "\n")
             for rec in records:
                 fh.write(verify.record_to_csv(rec) + "\n")
@@ -98,7 +77,7 @@ def cmd_compute(args) -> int:
             print(f"pair={pair} s={pair.s} pi_star={r.pi_star} pi_s={r.pi_s} ratio={ratio} method={r.method}")
     else:
         rec = verify.evaluate_pair(args.a, args.b, pair.s, r0.pi_star, r0.pi_s)
-        _emit_records([rec], _FORMATS[args.format], args.out)
+        _emit_records([rec], args.format, args.out)
     if args.exact_margins and min(args.a, args.b) >= 3 and pair.s >= 2:
         rhs = bounds.thm2_rhs(min(args.a, args.b), pair.s)
         holds = bounds.pi_star_exceeds_thm2_rhs(r0.pi_star, min(args.a, args.b), pair.s)
@@ -140,16 +119,8 @@ def _parse_a_range(args, default_lo, default_hi):
     return default_lo, default_hi
 
 
-def _expected_in_grid(expected, cfg):
-    grid = verify.grid_pairs(cfg)
-    return [(a, b) for a, b in expected if a in grid and b in grid[a]]
-
-
-def _verify_exceptions_target(args, label) -> int:
-    """Shared driver for thm2 and coj2: sweep, then diff the exception set."""
-    lo, hi = _parse_a_range(args, 3, 10)
-    if lo < 3:
-        raise ValueError(f"{label} verification needs a >= 3")
+def _run_sweep(args, lo, hi):
+    """Sweep a in [lo, hi] as the flags ask; records go out as --format, or as CSV to --out."""
     cfg = verify.SweepConfig(
         a_min=lo,
         a_max=hi,
@@ -161,12 +132,22 @@ def _verify_exceptions_target(args, label) -> int:
         brute_cap=args.brute_cap,
     )
     result = verify.sweep(cfg)
-    if args.format in ("csv", "jsonl"):
-        _emit_records(result.records, _FORMATS[args.format], args.out)
+    if args.format != "table":
+        _emit_records(result.records, args.format, args.out)
     elif args.out:
-        _emit_records(result.records, FORMAT_CSV, args.out)
+        _emit_records(result.records, "csv", args.out)
+    return result
+
+
+def _verify_exceptions_target(args, label) -> int:
+    """Shared driver for thm2 and coj2: sweep, then diff the exception set."""
+    lo, hi = _parse_a_range(args, 3, 10)
+    if lo < 3:
+        raise ValueError(f"{label} verification needs a >= 3")
+    result = _run_sweep(args, lo, hi)
     found = result.summary.coj2_exceptions
-    expected = _expected_in_grid(verify.EXPECTED_COJ2_EXCEPTIONS, cfg)
+    grid = {(r.a, r.b) for r in result.records}
+    expected = [p for p in verify.EXPECTED_COJ2_EXCEPTIONS if p in grid]
     unexpected = [p for p in found if p not in expected]
     missing = [p for p in expected if p not in found]
     print(f"{label}: checked {result.summary.n_pairs} pairs, a in [{lo},{hi}]")
@@ -185,21 +166,7 @@ def _verify_exceptions_target(args, label) -> int:
 def _verify_thm1(args) -> int:
     if args.a is not None or args.a_range is not None or args.a_max is not None:
         lo, hi = _parse_a_range(args, 1, 10)
-        cfg = verify.SweepConfig(
-            a_min=lo,
-            a_max=hi,
-            b_rule=args.b_rule,
-            b_max=args.b_max,
-            cross_check=args.cross_check,
-            workers=args.threads,
-            checkpoint_path=args.resume,
-            brute_cap=args.brute_cap,
-        )
-        result = verify.sweep(cfg)
-        if args.format in ("csv", "jsonl"):
-            _emit_records(result.records, _FORMATS[args.format], args.out)
-        elif args.out:
-            _emit_records(result.records, FORMAT_CSV, args.out)
+        result = _run_sweep(args, lo, hi)
         bad = result.summary.thm1_failures
         print(f"thm1: checked {result.summary.n_pairs} pairs, a in [{lo},{hi}]")
         if bad:

@@ -5,10 +5,6 @@ class NotCoprime(ValueError):
     """The two generators share a common factor, so the gap set is infinite."""
 
 
-class NotInvertible(ValueError):
-    """No modular inverse exists for the given residue and modulus."""
-
-
 class DomainError(ValueError):
     """An argument lies outside the validity range of a bound."""
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith
 from . import primes as primelib
 from .errors import LimitExceeded, NotCoprime
 from .semigroup import SemigroupPair, new_pair
@@ -66,11 +65,7 @@ def pi_star_residue_sum(pair: SemigroupPair) -> PiStarResult:
         return _result(pair, 0, 0, METHOD_RESIDUE)
     p = primelib.primes_array(b * (a - 1))
     pi_s = int(np.searchsorted(p, pair.s, side="right"))
-    res = p % a
-    order = np.argsort(res, kind="stable")
-    p_sorted = p[order]
-    res_sorted = res[order]
-    cuts = np.searchsorted(res_sorted, np.arange(a + 1))
+    p_sorted, cuts = primelib.residue_classes(p, a)
     total = 0
     for v in range(1, a):
         t = b * v
@@ -116,7 +111,7 @@ def pi_star_closed_small(a: int, b: int) -> PiStarResult:
     min = 2: the gaps are the odd numbers below the odd generator y, giving
     pi(y - 2) - 1 prime gaps (0 for y = 3).
     """
-    if arith.gcd(a, b) != 1:
+    if math.gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) != 1")
     lo, hi = min(a, b), max(a, b)
     pair = new_pair(a, b)
@@ -128,9 +123,3 @@ def pi_star_closed_small(a: int, b: int) -> PiStarResult:
         pi_s = primelib.pi(hi - 2)
         return _result(pair, pi_s - 1, pi_s, METHOD_CLOSED)
     return None
-
-
-def primes_in_semigroup_below_s(pair: SemigroupPair) -> int:
-    """Primes p < s that are representable; p = s never is, so <= s agrees."""
-    r = pi_star_fast(pair)
-    return r.pi_s - r.pi_star

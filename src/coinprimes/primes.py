@@ -6,7 +6,6 @@ it is built once up front when used from worker processes.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,24 +38,13 @@ def _base_primes_upto(limit: int) -> np.ndarray:
     return _base_primes[:idx]
 
 
-@dataclass(frozen=True)
-class SieveSegment:
-    """Primality bits for the half-open window [lo, hi)."""
-
-    lo: int
-    hi: int
-    bits: np.ndarray
-
-    def primes(self) -> np.ndarray:
-        return np.flatnonzero(self.bits).astype(np.int64) + self.lo
-
-
-def sieve_segment(lo: int, hi: int) -> SieveSegment:
+def sieve_segment(lo: int, hi: int) -> np.ndarray:
+    """Primality bits for the half-open window [lo, hi): bits[i] is True iff lo + i is prime."""
     if lo < 0 or hi < lo:
         raise ValueError("segment needs 0 <= lo <= hi")
     bits = np.zeros(hi - lo, dtype=bool)
     if hi <= 2:
-        return SieveSegment(lo, hi, bits)
+        return bits
     first = max(lo, 3)
     if first % 2 == 0:
         first += 1
@@ -73,37 +61,31 @@ def sieve_segment(lo: int, hi: int) -> SieveSegment:
             start += p
         if start < hi:
             bits[start - lo :: 2 * p] = False
-    return SieveSegment(lo, hi, bits)
+    return bits
 
 
 def segments(lo: int, hi: int, window: int = None):
-    """Yield consecutive SieveSegments covering [lo, hi)."""
+    """Yield (start, bits) for consecutive sieve windows covering [lo, hi)."""
     w = window if window else DEFAULT_WINDOW
     if w < 1:
         raise ValueError("window must be positive")
     for start in range(lo, hi, w):
-        yield sieve_segment(start, min(start + w, hi))
+        yield start, sieve_segment(start, min(start + w, hi))
 
 
 def prime_windows(lo: int, hi: int, window: int = None):
     """Yield nonempty int64 arrays of the primes in [lo, hi), window by window."""
-    for seg in segments(lo, hi, window):
-        arr = seg.primes()
+    for start, bits in segments(lo, hi, window):
+        arr = np.flatnonzero(bits).astype(np.int64) + start
         if arr.size:
             yield arr
-
-
-def primes_in(lo: int, hi: int, window: int = None):
-    """Yield the primes in [lo, hi) as Python ints."""
-    for arr in prime_windows(lo, hi, window):
-        yield from (int(p) for p in arr)
 
 
 def pi(x, window: int = None) -> int:
     """Exact count of primes <= x."""
     if x < 2:
         return 0
-    return sum(int(seg.bits.sum()) for seg in segments(0, int(x) + 1, window))
+    return sum(int(bits.sum()) for _, bits in segments(0, int(x) + 1, window))
 
 
 _cached = np.empty(0, dtype=np.int64)
@@ -126,22 +108,14 @@ def primes_array(limit: int) -> np.ndarray:
     return _cached[:idx]
 
 
-@dataclass(frozen=True)
-class ApCountQuery:
-    """Count primes p <= x with p = l (mod m)."""
+def residue_classes(p: np.ndarray, m: int):
+    """Group ascending primes by residue mod m.
 
-    x: int
-    m: int
-    l: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("modulus must be >= 1")
-        if not 0 <= self.l < self.m:
-            raise ValueError("residue must satisfy 0 <= l < m")
-
-    def count(self) -> int:
-        return pi_ap(self.x, self.m, self.l)
+    Returns (p_sorted, cuts): class l is p_sorted[cuts[l] : cuts[l + 1]], still ascending.
+    """
+    res = p % m
+    order = np.argsort(res, kind="stable")
+    return p[order], np.searchsorted(res[order], np.arange(m + 1))
 
 
 def pi_ap(x, m: int, l: int) -> int:

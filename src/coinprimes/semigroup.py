@@ -1,4 +1,4 @@
-"""Two-generator numerical semigroups: membership, gaps, Apery structure.
+"""Two-generator numerical semigroups: membership and gaps.
 
 For coprime a, b the set {a*u + b*v : u, v >= 0} misses exactly
 (a-1)(b-1)/2 positive integers, the largest being s = a*b - a - b.
@@ -6,11 +6,11 @@ Membership of n reduces to one comparison against the Apery element
 in n's residue class mod a: n is representable iff n >= b * ((n * b^-1) mod a).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith
 from .errors import NotCoprime
 
 
@@ -29,10 +29,10 @@ def new_pair(a: int, b: int) -> SemigroupPair:
     """Validated constructor; raises NotCoprime when gcd(a, b) > 1."""
     if a < 1 or b < 1:
         raise ValueError("generators must be positive")
-    g = arith.gcd(a, b)
+    g = math.gcd(a, b)
     if g != 1:
         raise NotCoprime(f"gcd({a}, {b}) = {g}; generators must be coprime")
-    b_inv = arith.mod_inverse(b, a) if a >= 2 else 0
+    b_inv = pow(b, -1, a) if a >= 2 else 0
     return SemigroupPair(a, b, a * b - a - b, b_inv)
 
 
@@ -53,8 +53,3 @@ def gaps(pair: SemigroupPair) -> list:
     n = np.arange(1, pair.s + 1, dtype=np.int64)
     v0 = (n % pair.a) * pair.b_inv_mod_a % pair.a
     return n[n < pair.b * v0].tolist()
-
-
-def apery_set(pair: SemigroupPair) -> list:
-    """Least semigroup element in each residue class mod a: [b*v for v in 0..a-1]."""
-    return [pair.b * v for v in range(pair.a)]

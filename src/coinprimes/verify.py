@@ -17,7 +17,6 @@ guarded (see bounds.guarded_strictly_greater); pure integer verdicts are exact.
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,7 +84,6 @@ class VerificationRecord:
     thm1_holds: bool
     coj1_status: str
     coj2_status: str
-    runtime_ms: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +168,6 @@ def record_from_dict(obj) -> VerificationRecord:
         obj["thm1"],
         obj["coj1"],
         obj["coj2"],
-        obj["ms"],
     )
 
 
@@ -182,34 +179,34 @@ def _trim_torn_tail(path: str):
         raw = fh.read()
         if not raw or raw.endswith(b"\n"):
             return
-        complete, sep, _ = raw.rpartition(b"\n")
-        fh.truncate(len(complete) + len(sep))
+        fh.truncate(raw.rfind(b"\n") + 1)
 
 
 def load_checkpoint(path: str) -> dict:
     """Completed records keyed by (a, b).
 
     A final line without a terminating newline is an interrupted append; the
-    pair is simply recomputed. Any complete line that fails to parse or
-    validate raises CheckpointCorrupt.
+    pair is simply recomputed. Any complete line that fails to decode, parse
+    or validate raises CheckpointCorrupt.
     """
     if not os.path.exists(path):
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
-    if not raw:
-        return {}
-    complete, _, _partial = raw.rpartition("\n")
     out = {}
-    if not complete:
-        return out
-    for i, line in enumerate(complete.split("\n"), start=1):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise CheckpointCorrupt(f"line {i}: invalid JSON ({e.msg})") from None
-        rec = record_from_dict(obj)
-        out[(rec.a, rec.b)] = rec
+    with open(path, "rb") as fh:
+        for i, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                break
+            try:
+                obj = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise CheckpointCorrupt(f"line {i}: invalid UTF-8") from None
+            except json.JSONDecodeError as e:
+                raise CheckpointCorrupt(f"line {i}: invalid JSON ({e.msg})") from None
+            except (ValueError, RecursionError) as e:
+                # too deeply nested, or an integer past Python's digit limit
+                raise CheckpointCorrupt(f"line {i}: unreadable JSON ({e})") from None
+            rec = record_from_dict(obj)
+            out[(rec.a, rec.b)] = rec
     return out
 
 
@@ -217,7 +214,7 @@ def load_checkpoint(path: str) -> dict:
 # per-pair evaluation
 
 
-def evaluate_pair(a: int, b: int, s: int, pi_star: int, pi_s: int, runtime_ms: int = 0) -> VerificationRecord:
+def evaluate_pair(a: int, b: int, s: int, pi_star: int, pi_s: int) -> VerificationRecord:
     """Assemble all verdicts from the computed counts."""
     amin = a if a <= b else b
     if amin >= 3 and s >= 2:
@@ -235,24 +232,27 @@ def evaluate_pair(a: int, b: int, s: int, pi_star: int, pi_s: int, runtime_ms: i
     else:
         coj1 = COJ1_FAIL
     coj2 = COJ2_HOLDS if holds else COJ2_EXCEPTION
-    return VerificationRecord(a, b, s, pi_star, pi_s, rhs, holds, thm1, coj1, coj2, runtime_ms)
+    return VerificationRecord(a, b, s, pi_star, pi_s, rhs, holds, thm1, coj1, coj2)
+
+
+def _cross_check(pair, pi_star: int, brute_cap: int):
+    """Raise unless residue-sum, and brute force when s <= brute_cap, also give pi_star."""
+    other = pistar.pi_star_residue_sum(pair)
+    if other.pi_star == pi_star and pair.s <= brute_cap:
+        other = pistar.pi_star_bruteforce(pair, cap=brute_cap)
+    if other.pi_star != pi_star:
+        raise RuntimeError(
+            f"method disagreement at ({pair.a},{pair.b}): {other.method} {other.pi_star} vs fast {pi_star}"
+        )
 
 
 def check_pair(a: int, b: int, cross_check: bool = False, brute_cap: int = pistar.BRUTE_FORCE_CAP) -> VerificationRecord:
     """Full verdict record for one pair; optionally cross-check all methods."""
     pair = new_pair(a, b)
-    t0 = time.perf_counter()
     fast = pistar.pi_star_fast(pair)
     if cross_check:
-        residue = pistar.pi_star_residue_sum(pair)
-        if residue.pi_star != fast.pi_star:
-            raise RuntimeError(f"method disagreement at ({a},{b}): residue-sum {residue.pi_star} vs fast {fast.pi_star}")
-        if pair.s <= brute_cap:
-            brute = pistar.pi_star_bruteforce(pair, cap=brute_cap)
-            if brute.pi_star != fast.pi_star:
-                raise RuntimeError(f"method disagreement at ({a},{b}): brute-force {brute.pi_star} vs fast {fast.pi_star}")
-    ms = int(round((time.perf_counter() - t0) * 1000))
-    return evaluate_pair(a, b, pair.s, fast.pi_star, fast.pi_s, ms)
+        _cross_check(pair, fast.pi_star, brute_cap)
+    return evaluate_pair(a, b, pair.s, fast.pi_star, fast.pi_s)
 
 
 # ----------------------------------------------------------------------
@@ -310,13 +310,23 @@ def iter_pair_stats(a: int, bs):
 
 def scan_coj2_exceptions(a_max: int, b_rule: str = B_RULE_50A2, b_max: int = None, a_min: int = 3) -> list:
     """All pairs with b > a in the grid where the thm2 threshold fails, ascending."""
-    found = []
-    for a in range(max(a_min, 3), a_max + 1):
-        hi = b_limit(b_rule, a, b_max)
-        for b, s, ps, pis in iter_pair_stats(a, _coprime_bs(a, a + 1, hi)):
-            if not bounds.pi_star_exceeds_thm2_rhs(ps, a, s):
-                found.append((a, b))
-    return found
+    cfg = SweepConfig(a_min=max(a_min, 3), a_max=a_max, b_rule=b_rule, b_max=b_max)
+    return sweep(cfg).summary.coj2_exceptions
+
+
+def _half_bound_scan(a: int, b_hi: int):
+    """(n_pairs, equalities, failures) of 2*pi_star vs pi(s) over coprime a < b <= b_hi."""
+    n_pairs = 0
+    equalities = []
+    failures = []
+    for b, s, ps, pis in iter_pair_stats(a, _coprime_bs(a, a + 1, b_hi)):
+        n_pairs += 1
+        diff = 2 * ps - pis
+        if diff == 0:
+            equalities.append((a, b))
+        elif diff < 0:
+            failures.append((a, b))
+    return n_pairs, equalities, failures
 
 
 @dataclass(frozen=True)
@@ -342,12 +352,9 @@ def scan_coj1_equalities(a_max: int, b_max: int = None) -> Coj1ScanResult:
         a1_checked += 1
     for a in range(2, a_max + 1):
         hi = b_max if b_max is not None else exp_threshold_b_max(a)
-        for b, s, ps, pis in iter_pair_stats(a, _coprime_bs(a, a + 1, hi)):
-            diff = 2 * ps - pis
-            if diff == 0:
-                equalities.append((a, b))
-            elif diff < 0:
-                failures.append((a, b))
+        _, eq, fail = _half_bound_scan(a, hi)
+        equalities += eq
+        failures += fail
     return Coj1ScanResult(equalities, failures, a1_checked)
 
 
@@ -394,14 +401,7 @@ def reproduce_thm3(a: int) -> Thm3Report:
     exceptions = scan_coj2_exceptions(a, B_RULE_50A2, a_min=a)
     expected_exc = [(x, y) for x, y in EXPECTED_COJ2_EXCEPTIONS if x == a]
     b_direct = exp_threshold_b_max(a)
-    equalities = []
-    failures = []
-    for b, s, ps, pis in iter_pair_stats(a, _coprime_bs(a, a + 1, b_direct)):
-        diff = 2 * ps - pis
-        if diff == 0:
-            equalities.append((a, b))
-        elif diff < 0:
-            failures.append((a, b))
+    _, equalities, failures = _half_bound_scan(a, b_direct)
     expected_eq = [(3, 5)] if a == 3 else []
     window_ok = _strict_half_window_ok(a) if a in _WINDOW_S_MIN else None
     return Thm3Report(a, b_direct, exceptions, expected_exc, equalities, expected_eq, failures, window_ok)
@@ -489,10 +489,9 @@ def reproduce_thm1_cases(case_id: int, case1_samples: int = 200) -> Thm1CaseRepo
         failures = []
         n_pairs = 0
         for a in range(3, 16):
-            for b, s, ps, pis in iter_pair_stats(a, _coprime_bs(a, a + 1, 180)):
-                n_pairs += 1
-                if not 2 * ps >= pis:
-                    failures.append((a, b))
+            n, _, fail = _half_bound_scan(a, 180)
+            n_pairs += n
+            failures += fail
         worst = min(bounds.case4_constant(a) for a in range(3, 16))
         ok = all(bounds.case4_constant_exceeds(a, CASE4_THRESHOLD) for a in range(3, 16))
         return Thm1CaseReport(4, n_pairs, failures, worst, float(CASE4_THRESHOLD), ok)
@@ -545,14 +544,7 @@ def _sweep_chunk(a, bs, cross_check, brute_cap):
     out = []
     for b, s, ps, pis in iter_pair_stats(a, bs):
         if cross_check:
-            pair = new_pair(a, b)
-            residue = pistar.pi_star_residue_sum(pair)
-            if residue.pi_star != ps:
-                raise RuntimeError(f"method disagreement at ({a},{b})")
-            if s <= brute_cap:
-                brute = pistar.pi_star_bruteforce(pair, cap=brute_cap)
-                if brute.pi_star != ps:
-                    raise RuntimeError(f"method disagreement at ({a},{b})")
+            _cross_check(new_pair(a, b), ps, brute_cap)
         out.append(evaluate_pair(a, b, s, ps, pis))
     return out
 

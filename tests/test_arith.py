@@ -5,33 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coinprimes import arith
-from coinprimes.errors import NotInvertible
 from coinprimes.primes import is_prime
-
-
-def test_gcd_basics():
-    assert arith.gcd(12, 18) == 6
-    assert arith.gcd(7, 0) == 7
-    assert arith.gcd(1, 1) == 1
-
-
-def test_mod_inverse_roundtrip():
-    rng = random.Random(11)
-    for _ in range(200):
-        m = rng.randrange(2, 10**6)
-        x = rng.randrange(1, m)
-        if math.gcd(x, m) != 1:
-            continue
-        inv = arith.mod_inverse(x, m)
-        assert 0 <= inv < m
-        assert x * inv % m == 1
-
-
-def test_mod_inverse_errors():
-    with pytest.raises(NotInvertible):
-        arith.mod_inverse(6, 9)
-    with pytest.raises(ValueError):
-        arith.mod_inverse(1, 1)
 
 
 def test_factor_reconstructs_and_is_prime():
@@ -106,9 +80,3 @@ def test_coprime_count_fraction_and_float_bounds():
     assert n_int == n_frac == n_float == 5792
     assert arith.coprime_count_up_to(Fraction(1, 2), 7) == 0
     assert arith.coprime_count_up_to(0, 7) == 0
-
-
-def test_coprime_sum_brute():
-    for a in range(2, 200):
-        expected = sum(v for v in range(1, a) if math.gcd(v, a) == 1)
-        assert arith.coprime_sum(a) == expected

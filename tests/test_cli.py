@@ -1,6 +1,10 @@
+import hashlib
 import json
 
-from coinprimes import cli, verify
+import pytest
+
+import coinprimes
+from coinprimes import verify
 from coinprimes.cli import main
 
 
@@ -28,18 +32,6 @@ def test_compute_all_methods(capsys):
     lines = [l for l in out.splitlines() if l.startswith("pair=")]
     assert len(lines) == 3
     assert all("pi_star=5" in l for l in lines)
-
-
-def test_output_format_type():
-    assert sorted(cli._FORMATS) == ["csv", "jsonl", "table"]
-    assert cli._FORMATS["csv"] is cli.FORMAT_CSV
-    assert cli.FORMAT_JSONL.kind == "jsonl"
-    try:
-        cli.FORMAT_TABLE.kind = "csv"
-    except AttributeError:
-        pass
-    else:
-        raise AssertionError("OutputFormat should be immutable")
 
 
 def test_compute_csv_and_jsonl(capsys):
@@ -129,10 +121,13 @@ def test_bad_inputs(capsys):
 
 def test_corrupt_checkpoint_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("garbage\n")
-    rc, _, err = run(capsys, "verify", "coj2", "--a-max", "3", "--b-max", "10", "--b-rule", "upto", "--resume", str(bad))
-    assert rc == 4
-    assert "error:" in err
+    argv = ("verify", "coj2", "--a-max", "3", "--b-max", "10", "--b-rule", "upto", "--resume", str(bad))
+    # not JSON, not UTF-8, nested past the parser's recursion limit, an integer past the digit limit
+    for payload in (b"garbage\n", b'\xff\xfe{"schema": 1}\n', b"[" * 100_000 + b"\n", b"9" * 5000 + b"\n"):
+        bad.write_bytes(payload)
+        rc, _, err = run(capsys, *argv)
+        assert rc == 4, payload[:20]
+        assert "error:" in err
 
 
 def test_csv_out_threads_identical(tmp_path, capsys):
@@ -144,3 +139,30 @@ def test_csv_out_threads_identical(tmp_path, capsys):
     assert one.read_bytes() == four.read_bytes()
     header = one.read_text().splitlines()[0]
     assert header == verify.CSV_HEADER
+
+
+# (argv, exit code, sha256 of the full stdout): every byte these scan and sweep
+# paths print is pinned, so a refactor of them cannot change the output unseen
+GOLDEN = [
+    ("verify thm3 --a-range 3:10", 0, "f5e541fc98f829519984ab736272f5d0cd5e1ee2d3ef08daa25a59261e4414bb"),
+    ("verify coj1 --a-max 10", 0, "ee111942a044977e9bf8673a4ad2f6fef0b3f7e15cb2861d9cbb9f1753553014"),
+    ("verify thm1 --case 3", 0, "e94f3db821643ca6e56228d84bf5790d126e31c5de3ee9775faf3214558a5744"),
+    ("verify thm1 --case 4", 0, "1058fa7d6a133becf559ed71a7d64189b5e0094c767df6503ebd63c56d04ffcd"),
+    (
+        "verify thm1 --a-range 1:10 --b-rule upto --b-max 200 --format csv",
+        0,
+        "4db5ffb6728367ab0b3a644100eda63034ee720cc6caf55ebbcb2648097c61da",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,want_rc,want_sha256", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_stdout(capsys, argv, want_rc, want_sha256):
+    rc, out, _ = run(capsys, *argv.split())
+    assert rc == want_rc
+    assert hashlib.sha256(out.encode()).hexdigest() == want_sha256, out[-2000:]
+
+
+def test_public_names_resolve():
+    for name in coinprimes.__all__:
+        assert hasattr(coinprimes, name), name

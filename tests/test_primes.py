@@ -2,7 +2,6 @@ import math
 import random
 
 import numpy as np
-import pytest
 
 from coinprimes import primes
 
@@ -15,10 +14,25 @@ def trial_primes(lo, hi):
     return out
 
 
+# half-open windows [lo, hi), including empty and single-number ones
+WINDOWS = [(0, 2), (0, 100), (1, 2), (2, 3), (90, 90), (97, 98), (10**4, 10**4 + 500), (10, 30), (23, 24), (24, 24)]
+
+
+def segment_primes(lo, hi):
+    return (np.flatnonzero(primes.sieve_segment(lo, hi)) + lo).tolist()
+
+
 def test_sieve_segment_small_windows():
-    for lo, hi in [(0, 2), (0, 100), (1, 2), (2, 3), (90, 90), (97, 98), (10**4, 10**4 + 500)]:
-        seg = primes.sieve_segment(lo, hi)
-        assert seg.primes().tolist() == trial_primes(lo, hi)
+    for lo, hi in WINDOWS:
+        assert segment_primes(lo, hi) == trial_primes(lo, hi)
+
+
+def test_prime_windows():
+    for lo, hi in WINDOWS:
+        for window in (None, 7, 64):
+            arrays = list(primes.prime_windows(lo, hi, window))
+            assert all(a.size and a.dtype == np.int64 for a in arrays)
+            assert [int(p) for a in arrays for p in a] == trial_primes(lo, hi)
 
 
 def test_sieve_segment_random_windows():
@@ -26,9 +40,7 @@ def test_sieve_segment_random_windows():
     for _ in range(30):
         lo = rng.randrange(0, 10**6)
         hi = lo + rng.randrange(0, 3000)
-        seg = primes.sieve_segment(lo, hi)
-        got = seg.primes().tolist()
-        assert got == [n for n in range(lo, hi) if primes.is_prime(n)]
+        assert segment_primes(lo, hi) == [n for n in range(lo, hi) if primes.is_prime(n)]
 
 
 def test_pi_point_values():
@@ -52,12 +64,6 @@ def test_pi_monotone():
         x = rng.randrange(0, 10**5)
         y = x + rng.randrange(0, 10**4)
         assert primes.pi(x) <= primes.pi(y)
-
-
-def test_primes_in_half_open():
-    assert list(primes.primes_in(10, 30)) == [11, 13, 17, 19, 23, 29]
-    assert list(primes.primes_in(23, 24)) == [23]
-    assert list(primes.primes_in(24, 24)) == []
 
 
 def test_primes_array_is_sorted_prefix():
@@ -92,15 +98,8 @@ def test_pi_ap_reduces_residue():
     assert primes.pi_ap(100, 3, 7) == primes.pi_ap(100, 3, 1)
 
 
-def test_ap_count_query_validation():
-    with pytest.raises(ValueError):
-        primes.ApCountQuery(10, 0, 0)
-    with pytest.raises(ValueError):
-        primes.ApCountQuery(10, 4, 4)
-
-
 def test_is_prime_matches_sieve():
-    flags = set(primes.primes_in(0, 10**4))
+    flags = set(primes.primes_array(10**4).tolist())
     for n in range(10**4):
         assert primes.is_prime(n) == (n in flags)
 

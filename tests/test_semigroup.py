@@ -91,14 +91,3 @@ def test_gaps_degenerate():
     assert semigroup.gaps(semigroup.new_pair(1, 6)) == []
     assert semigroup.gaps(semigroup.new_pair(1, 1)) == []
     assert semigroup.gaps(semigroup.new_pair(2, 3)) == [1]
-
-
-def test_apery_set():
-    for a, b in [(3, 5), (5, 7), (8, 13)]:
-        pair = semigroup.new_pair(a, b)
-        ap = semigroup.apery_set(pair)
-        assert len(ap) == a
-        assert sorted(x % a for x in ap) == list(range(a))
-        for x in ap:
-            assert semigroup.contains(pair, x)
-            assert x < a or not semigroup.contains(pair, x - a)

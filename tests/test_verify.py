@@ -105,7 +105,7 @@ def test_record_csv_line():
 
 
 def test_record_dict_roundtrip():
-    rec = verify.evaluate_pair(5, 7, 23, 5, 9, runtime_ms=12)
+    rec = verify.evaluate_pair(5, 7, 23, 5, 9)
     d = verify.record_to_dict(rec)
     assert d["ms"] == 0  # canonical outputs never carry timing
     back = verify.record_from_dict(d)
