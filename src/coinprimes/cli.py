@@ -13,7 +13,6 @@ byte-stable across runs and thread counts.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -49,7 +48,7 @@ def _emit_records(records, fmt, path):
                 fh.write(verify.record_to_csv(rec) + "\n")
         else:
             for rec in records:
-                fh.write(json.dumps(verify.record_to_dict(rec)) + "\n")
+                fh.write(verify.record_to_json(rec) + "\n")
     finally:
         if close:
             fh.close()

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import arith, bounds, pistar
 from . import primes as primelib
-from .errors import CheckpointCorrupt, DomainError
+from .errors import CheckpointCorrupt, DomainError, LimitExceeded
 from .semigroup import new_pair
 
 COJ1_STRICT = "strict"
@@ -131,6 +131,17 @@ def record_to_dict(rec: VerificationRecord) -> dict:
     }
 
 
+def record_to_json(rec: VerificationRecord) -> str:
+    """json.dumps(record_to_dict(rec)), byte for byte, without building the dict."""
+    rhs = "null" if math.isnan(rec.thm2_rhs) else repr(rec.thm2_rhs)
+    return (
+        f'{{"schema": {SCHEMA_VERSION}, "a": {rec.a}, "b": {rec.b}, "s": {rec.s}, '
+        f'"pi_star": {rec.pi_star}, "pi_s": {rec.pi_s}, "thm2_rhs": {rhs}, '
+        f'"thm2": {"true" if rec.thm2_holds else "false"}, "thm1": {"true" if rec.thm1_holds else "false"}, '
+        f'"coj1": "{rec.coj1_status}", "coj2": "{rec.coj2_status}", "ms": 0}}'
+    )
+
+
 def record_from_dict(obj) -> VerificationRecord:
     if not isinstance(obj, dict):
         raise CheckpointCorrupt("record is not an object")
@@ -148,38 +159,45 @@ def record_from_dict(obj) -> VerificationRecord:
     for key in ("thm2", "thm1"):
         if not isinstance(obj[key], bool):
             raise CheckpointCorrupt(f"field {key} must be a boolean")
-    if obj["coj1"] not in (COJ1_STRICT, COJ1_EQUALITY, COJ1_FAIL):
-        raise CheckpointCorrupt(f"bad coj1 value {obj['coj1']!r}")
-    if obj["coj2"] not in (COJ2_HOLDS, COJ2_EXCEPTION):
-        raise CheckpointCorrupt(f"bad coj2 value {obj['coj2']!r}")
-    rhs = obj["thm2_rhs"]
-    if rhs is None:
-        rhs = math.nan
-    elif not isinstance(rhs, (int, float)) or isinstance(rhs, bool):
-        raise CheckpointCorrupt("field thm2_rhs must be a number or null")
-    return VerificationRecord(
-        obj["a"],
-        obj["b"],
-        obj["s"],
-        obj["pi_star"],
-        obj["pi_s"],
-        float(rhs),
-        obj["thm2"],
-        obj["thm1"],
-        obj["coj1"],
-        obj["coj2"],
-    )
+    # a record is reused only if its counts are plausible and re-derive every other field
+    a, b, s, pi_star, pi_s = (obj[key] for key in ("a", "b", "s", "pi_star", "pi_s"))
+    if s != a * b - a - b:
+        raise CheckpointCorrupt(f"({a},{b}): s = {s} is not a*b - a - b")
+    if not 0 <= pi_star <= pi_s:
+        raise CheckpointCorrupt(f"({a},{b}): counts pi_star = {pi_star}, pi_s = {pi_s} out of order")
+    try:
+        rec = evaluate_pair(a, b, s, pi_star, pi_s)
+    except (OverflowError, ValueError) as e:
+        raise CheckpointCorrupt(f"({a},{b}): cannot re-derive the verdicts ({e})") from None
+    derived = record_to_dict(rec)  # dicts, not records, so that null == null where nan != nan
+    derived["ms"] = obj["ms"]
+    if derived != obj:
+        raise CheckpointCorrupt(f"({a},{b}): fields {[k for k in obj if obj[k] != derived[k]]} disagree with the counts")
+    return rec
+
+
+_TAIL_BLOCK = 1 << 16
 
 
 def _trim_torn_tail(path: str):
-    """Drop a trailing half-written line so appends start on a fresh line."""
+    """Drop a trailing half-written line so appends start on a fresh line.
+
+    Reads backwards from the end a block at a time, only as far as the last newline.
+    """
     if not os.path.exists(path):
         return
     with open(path, "rb+") as fh:
-        raw = fh.read()
-        if not raw or raw.endswith(b"\n"):
-            return
-        fh.truncate(raw.rfind(b"\n") + 1)
+        end = cut = fh.seek(0, os.SEEK_END)
+        while cut > 0:
+            start = max(0, cut - _TAIL_BLOCK)
+            fh.seek(start)
+            nl = fh.read(cut - start).rfind(b"\n")
+            if nl >= 0:
+                cut = start + nl + 1
+                break
+            cut = start
+        if cut < end:
+            fh.truncate(cut)
 
 
 def load_checkpoint(path: str) -> dict:
@@ -187,7 +205,8 @@ def load_checkpoint(path: str) -> dict:
 
     A final line without a terminating newline is an interrupted append; the
     pair is simply recomputed. Any complete line that fails to decode, parse
-    or validate raises CheckpointCorrupt.
+    or validate, or whose s and verdicts do not re-derive from its counts,
+    raises CheckpointCorrupt.
     """
     if not os.path.exists(path):
         return {}
@@ -286,22 +305,52 @@ def _coprime_bs(a: int, lo: int, hi: int) -> list:
     return [b for b in range(lo, hi + 1) if math.gcd(a, b) == 1]
 
 
+def _gap_prime_counts(a: int, bs: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """Gap primes p < below[i] of <a, bs[i]> for each i, all b at once (int64 arrays in, out).
+
+    The residue-sum identity: a prime p is a gap iff p < b*v for the v in
+    [1, a) with b*v = p (mod a), so the count is the sum over v of
+    #{p prime : p < min(b*v, below), p = b*v (mod a)}. Every (b, v) query is
+    answered by one searchsorted over the primes split into classes mod a.
+    Memory is O(len(bs) * a), so callers pass blocks of b values.
+    """
+    if a < 1 or bs.min(initial=1) < 1 or np.any(np.gcd(bs, a) != 1):
+        raise ValueError(f"every b must be a positive integer coprime to a = {a}")
+    top = max(int(below.max(initial=0)), 3)
+    # key = class * k + value orders the classes one after another; k exceeds
+    # every prime (< top) and every query (<= top)
+    k = top + 1
+    if a * k >= 2**63:
+        raise LimitExceeded(f"a * s ~ {a * k} overflows the int64 search keys")
+    p_sorted, cuts = primelib.residue_classes(primelib.primes_array(top - 1), a)
+    keys = np.repeat(np.arange(a, dtype=np.int64) * k, np.diff(cuts)) + p_sorted
+    t = np.multiply.outer(bs, np.arange(1, a, dtype=np.int64))
+    query = t % a * k
+    query += np.minimum(t, below[:, None])
+    found = np.searchsorted(keys, query, side="left").sum(axis=1)
+    # each position counts the primes of all lower classes too; as v runs over
+    # [1, a), b*v mod a runs over every class 1..a-1 once (b is coprime to a)
+    return found - int(cuts[1:a].sum())
+
+
+# (b, v) queries per block of iter_pair_stats: bounds the kernel's working memory
+_MAX_QUERIES = 1 << 20
+
+
 def iter_pair_stats(a: int, bs):
-    """Yield (b, s, pi_star, pi_s) for each b, sharing one prime table."""
-    bs = list(bs)
-    if not bs:
-        return
-    s_max = max(a * b - a - b for b in bs)
-    table = primelib.primes_array(max(s_max, 2))
-    for b in bs:
-        s = a * b - a - b
-        if a == 1 or b == 1 or s < 2:
-            yield b, s, 0, 0
-            continue
-        b_inv = pow(b, -1, a)
-        idx = int(np.searchsorted(table, s, side="right"))
-        chunk = table[:idx]
-        yield b, s, pistar.count_gap_primes(chunk, a, b, b_inv), idx
+    """Yield (b, s, pi_star, pi_s) for each b in input order, a block of b values at a time.
+
+    Pairs with s < 2 (a == 1 or b == 1 among them) give (0, 0): no prime is <= s.
+    """
+    bs = np.fromiter(bs, dtype=np.int64)
+    step = max(1, _MAX_QUERIES // max(a - 1, 1))
+    for i in range(0, bs.size, step):
+        block = bs[i : i + step]
+        s = a * block - a - block
+        table = primelib.primes_array(max(int(s.max()), 2))
+        pi_s = np.searchsorted(table, s, side="right")
+        pi_star = _gap_prime_counts(a, block, s + 1)
+        yield from zip(block.tolist(), s.tolist(), pi_star.tolist(), pi_s.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -469,20 +518,13 @@ def reproduce_thm1_cases(case_id: int, case1_samples: int = 200) -> Thm1CaseRepo
         failures = []
         n_pairs = 0
         for a in range(16, 181):
-            bs = _coprime_bs(a, a + 1, 1000)
-            if not bs:
-                continue
-            s_max = a * max(bs) - a - max(bs)
-            table = primelib.primes_array(max(s_max, 2))
-            for b in bs:
-                s = a * b - a - b
-                b_inv = pow(b, -1, a)
-                cut = int(np.searchsorted(table, s // 20, side="right"))
-                low_gaps = pistar.count_gap_primes(table[:cut], a, b, b_inv)
-                pi_s = int(np.searchsorted(table, s, side="right"))
-                n_pairs += 1
-                if not 10_000 * low_gaps > 663 * pi_s:
-                    failures.append((a, b))
+            # at most 985 b values and 179 v values: one block of the kernel
+            bs = np.array(_coprime_bs(a, a + 1, 1000), dtype=np.int64)
+            s = a * bs - a - bs
+            pi_s = np.searchsorted(primelib.primes_array(int(s.max())), s, side="right")
+            low_gaps = _gap_prime_counts(a, bs, s // 20 + 1)
+            failures += [(a, b) for b in bs[10_000 * low_gaps <= 663 * pi_s].tolist()]
+            n_pairs += bs.size
         worst, ok = _delta_scan(CASE3_DELTA, range(16, 181), g_poly, CASE3_THRESHOLD)
         return Thm1CaseReport(3, n_pairs, failures, worst, float(CASE3_THRESHOLD), ok)
     if case_id == 4:
@@ -590,8 +632,7 @@ def sweep(cfg: SweepConfig) -> SweepResult:
         def emit(chunk_records):
             new_records.extend(chunk_records)
             if ckpt is not None:
-                for rec in chunk_records:
-                    ckpt.write(json.dumps(record_to_dict(rec)) + "\n")
+                ckpt.write("".join(record_to_json(rec) + "\n" for rec in chunk_records))
                 ckpt.flush()
 
         if cfg.workers <= 1 or len(tasks) <= 1:

@@ -122,12 +122,30 @@ def test_bad_inputs(capsys):
 def test_corrupt_checkpoint_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     argv = ("verify", "coj2", "--a-max", "3", "--b-max", "10", "--b-rule", "upto", "--resume", str(bad))
+    good = verify.record_to_dict(verify.evaluate_pair(3, 4, 5, 2, 3))
+    # hand-edited records: counts that cannot be (pi_star > pi_s), and an infinite threshold
+    tampered = [
+        (json.dumps(dict(good, pi_star=7)) + "\n").encode(),
+        json.dumps(good).replace('"thm2_rhs": ' + repr(good["thm2_rhs"]), '"thm2_rhs": 1e999').encode() + b"\n",
+    ]
+    assert b"1e999" in tampered[1]
+    bad.write_text(json.dumps(good) + "\n")  # the untampered record is reused
+    assert run(capsys, *argv)[0] == 0
     # not JSON, not UTF-8, nested past the parser's recursion limit, an integer past the digit limit
-    for payload in (b"garbage\n", b'\xff\xfe{"schema": 1}\n', b"[" * 100_000 + b"\n", b"9" * 5000 + b"\n"):
+    for payload in [b"garbage\n", b'\xff\xfe{"schema": 1}\n', b"[" * 100_000 + b"\n", b"9" * 5000 + b"\n"] + tampered:
         bad.write_bytes(payload)
         rc, _, err = run(capsys, *argv)
         assert rc == 4, payload[:20]
         assert "error:" in err
+
+
+def test_grid_csv_digest(tmp_path, capsys):
+    """The coj2 grid a in [3,20], b <= 50a^2 (86,974 pairs): every byte, thm2_rhs digits included."""
+    out = tmp_path / "grid.csv"
+    rc, _, _ = run(capsys, "verify", "coj2", "--a-range", "3:20", "--format", "csv", "--out", str(out))
+    assert rc == 0
+    want = "b3f367dae0575f33ea77bcc8230bd1b8e9deadb8561c646d7ff5e7ddf3adf319"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
 def test_csv_out_threads_identical(tmp_path, capsys):

@@ -1,10 +1,15 @@
 import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from coinprimes import verify
-from coinprimes.errors import CheckpointCorrupt, DomainError
+from coinprimes import pistar, verify
+from coinprimes.errors import CheckpointCorrupt, DomainError, LimitExceeded
+from coinprimes.semigroup import new_pair
 
 
 def test_evaluate_pair_known_exception():
@@ -64,6 +69,45 @@ def test_iter_pair_stats_matches_check_pair():
         assert (s, ps, pis) == (rec.s, rec.pi_star, rec.pi_s)
 
 
+@st.composite
+def _a_and_bs(draw):
+    a = draw(st.integers(1, 60))
+    bs = draw(st.lists(st.integers(a + 1, a + 2500).filter(lambda b: math.gcd(a, b) == 1), max_size=25))
+    return a, bs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_a_and_bs(), st.booleans())
+@example((1, [2, 5, 3]), False)
+@example((2, [3, 5, 101, 7]), False)
+@example((2, [3, 5, 101, 7]), True)
+@example((3, [4, 5, 7, 8, 10, 11, 13]), True)
+@example((60, [61]), False)
+@example((37, [38, 1000, 39, 556, 40, 41, 2000, 42, 43, 44]), True)
+def test_iter_pair_stats_matches_fast(a_bs, small_blocks):
+    """The batched kernel equals pi_star_fast pair by pair, in input order, across block edges."""
+    a, bs = a_bs
+    block_queries = max(1, 3 * (a - 1)) if small_blocks else verify._MAX_QUERIES
+    with mock.patch.object(verify, "_MAX_QUERIES", block_queries):
+        got = list(verify.iter_pair_stats(a, bs))
+    want = []
+    for b in bs:
+        r = pistar.pi_star_fast(new_pair(a, b))
+        want.append((b, r.pair.s, r.pi_star, r.pi_s))
+    assert got == want
+    assert all(type(x) is int for row in got for x in row)
+
+
+def test_iter_pair_stats_rejects_bad_input():
+    with pytest.raises(ValueError):
+        list(verify.iter_pair_stats(6, [7, 9]))
+    with pytest.raises(ValueError):
+        list(verify.iter_pair_stats(3, [4, -1]))
+    # search keys past int64 are refused before any prime table is built
+    with pytest.raises(LimitExceeded):
+        verify._gap_prime_counts(3, np.array([4], dtype=np.int64), np.array([2**62], dtype=np.int64))
+
+
 def test_scan_coj2_exceptions_small():
     found = verify.scan_coj2_exceptions(4, b_rule=verify.B_RULE_UPTO, b_max=60)
     assert found == [(3, 4), (3, 5), (3, 7)]
@@ -115,6 +159,66 @@ def test_record_dict_roundtrip():
     assert d2["thm2_rhs"] is None
     back2 = verify.record_from_dict(d2)
     assert math.isnan(back2.thm2_rhs)
+
+
+def test_record_to_json_matches_json_dumps():
+    recs = [
+        verify.evaluate_pair(3, 5, 7, 2, 4),  # equality, exception
+        verify.evaluate_pair(5, 7, 23, 5, 9),  # strict, holds
+        verify.evaluate_pair(3, 5, 7, 1, 4),  # fail, thm1 holds
+        verify.evaluate_pair(7, 30, 173, 1, 40),  # fail, exception, thm1 false
+        verify.evaluate_pair(2, 5, 3, 1, 2),  # nan threshold
+        verify.evaluate_pair(1, 9, -1, 0, 0),  # nan threshold, s < 2
+    ]
+    recs += verify.sweep(_small_cfg(a_min=2, b_max=300)).records
+    statuses = {(r.coj1_status, r.coj2_status) for r in recs}
+    assert {s for s, _ in statuses} == {verify.COJ1_STRICT, verify.COJ1_EQUALITY, verify.COJ1_FAIL}
+    assert {s for _, s in statuses} == {verify.COJ2_HOLDS, verify.COJ2_EXCEPTION}
+    assert any(math.isnan(r.thm2_rhs) for r in recs) and not all(r.thm1_holds for r in recs)
+    for rec in recs:
+        assert verify.record_to_json(rec) == json.dumps(verify.record_to_dict(rec))
+
+
+def test_record_from_dict_rederives():
+    good = verify.record_to_dict(verify.evaluate_pair(3, 5, 7, 2, 4))
+    assert verify.record_from_dict(dict(good, ms=17)) == verify.evaluate_pair(3, 5, 7, 2, 4)
+    tampered = [
+        dict(good, s=8),  # s is not ab - a - b
+        dict(good, pi_star=5),  # pi_star > pi_s
+        dict(good, pi_star=-1),
+        dict(good, pi_star=3),  # consistent counts, but the stored verdicts are of pi_star = 2
+        dict(good, thm2=True),
+        dict(good, coj1=verify.COJ1_STRICT),
+        dict(good, coj2=verify.COJ2_HOLDS),
+        dict(good, thm1=False),
+        dict(good, thm2_rhs=math.inf),
+        dict(good, thm2_rhs=math.nextafter(good["thm2_rhs"], 0.0)),  # one ulp off
+        dict(good, thm2_rhs=None),
+        dict(verify.record_to_dict(verify.evaluate_pair(2, 5, 3, 1, 2)), thm2_rhs=1.0),
+        dict(good, a=10**200, b=10**200 + 1, s=10**400 - 2 * 10**200 - 1),  # thm2_rhs overflows a float
+    ]
+    for bad in tampered:
+        with pytest.raises(CheckpointCorrupt):
+            verify.record_from_dict(bad)
+
+
+def test_trim_torn_tail_reads_backwards(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "_TAIL_BLOCK", 4)
+    path = tmp_path / "ck.jsonl"
+    cases = [
+        (b"", b""),
+        (b"one\ntwo\n", b"one\ntwo\n"),
+        (b"one\ntwo\nthree is torn", b"one\ntwo\n"),
+        (b"one\nx", b"one\n"),
+        (b"no newline anywhere", b""),
+        (b"\n" + b"t" * 13, b"\n"),
+    ]
+    for before, after in cases:
+        path.write_bytes(before)
+        verify._trim_torn_tail(str(path))
+        assert path.read_bytes() == after, before
+    verify._trim_torn_tail(str(tmp_path / "missing.jsonl"))
+    assert not (tmp_path / "missing.jsonl").exists()
 
 
 def test_record_from_dict_rejects_bad_shapes():
