@@ -173,11 +173,9 @@ def _thm2_rhs_iv(a, s):
     return build
 
 
-def pi_star_exceeds_thm2_rhs(pi_star: int, a: int, s: int) -> bool:
-    """Guarded verdict for the strict inequality pi_star > thm2_rhs(a, s)."""
-    return guarded_strictly_greater(
-        float(pi_star), thm2_rhs(a, s), lambda iv: iv.mpf(pi_star), _thm2_rhs_iv(a, s)
-    )
+def pi_star_exceeds_thm2_rhs(pi_star: int, a: int, s: int, rhs: float) -> bool:
+    """Guarded verdict for the strict inequality pi_star > thm2_rhs(a, s); rhs is that double, from the caller."""
+    return guarded_strictly_greater(float(pi_star), rhs, lambda iv: iv.mpf(pi_star), _thm2_rhs_iv(a, s))
 
 
 def _delta_iv(d, a, s, factored=None):

@@ -79,7 +79,7 @@ def cmd_compute(args) -> int:
         _emit_records([rec], args.format, args.out)
     if args.exact_margins and min(args.a, args.b) >= 3 and pair.s >= 2:
         rhs = bounds.thm2_rhs(min(args.a, args.b), pair.s)
-        holds = bounds.pi_star_exceeds_thm2_rhs(r0.pi_star, min(args.a, args.b), pair.s)
+        holds = bounds.pi_star_exceeds_thm2_rhs(r0.pi_star, min(args.a, args.b), pair.s, rhs)
         print(f"thm2 margin: pi_star - rhs = {r0.pi_star - rhs!r} (guarded verdict: {str(holds).lower()})")
     return 0
 

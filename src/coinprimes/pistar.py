@@ -3,10 +3,13 @@
 Three independent routes compute the same number:
 
   fast         one streamed sieve pass with the O(1) membership test
-  residue-sum  sum over v of the primes below b*v in the class b*v mod a
+  residue-sum  the gap_prime_counts kernel: sum over v of the primes below
+               b*v in the class b*v mod a, batched over b
   brute-force  mark every a*u + b*v up to s, then subtract from a dense sieve
 
 plus closed forms for the degenerate families (one generator equal to 1 or 2).
+Every grid command counts with the residue-sum kernel; fast and brute force
+are the independent routes it is cross-checked against.
 """
 
 import math
@@ -58,21 +61,33 @@ def pi_star_fast(pair: SemigroupPair, window: int = None) -> PiStarResult:
     return _result(pair, gapped, total, METHOD_FAST)
 
 
+def gap_prime_counts(a: int, bs: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """Gap primes p < below[i] of <a, bs[i]> for each i, all b at once (int64 arrays in, out).
+
+    The residue-sum identity: a prime p is a gap iff p < b*v for the v in
+    [1, a) with b*v = p (mod a). As v runs over [1, a), b*v mod a runs over
+    every class c in [1, a) once, with v = c * b^-1 mod a. So the count is the
+    sum over c of #{p prime : p = c (mod a), p < min(b*v, below)}: one split
+    of the primes below max(below) into classes mod a, then one searchsorted
+    per class across every b. Memory is O(len(bs)) besides the prime table.
+    """
+    if a < 1 or bs.min(initial=1) < 1 or np.any(np.gcd(bs, a) != 1):
+        raise ValueError(f"every b must be a positive integer coprime to a = {a}")
+    p_sorted, cuts = primelib.residue_classes(primelib.primes_array(max(int(below.max(initial=0)) - 1, 2)), a)
+    inverse = np.array([pow(r, -1, a) if math.gcd(r, a) == 1 else 0 for r in range(a)], dtype=np.int64)
+    b_inv = inverse[bs % a]
+    counts = np.zeros(bs.size, dtype=np.int64)
+    for c in range(1, a):
+        v = c * b_inv % a
+        counts += np.searchsorted(p_sorted[cuts[c] : cuts[c + 1]], np.minimum(bs * v, below), side="left")
+    return counts
+
+
 def pi_star_residue_sum(pair: SemigroupPair) -> PiStarResult:
-    """Sum over v in [1, a-1] of #{p prime : p < b*v, p = b*v (mod a)}."""
-    a, b = pair.a, pair.b
-    if a == 1 or b == 1:
-        return _result(pair, 0, 0, METHOD_RESIDUE)
-    p = primelib.primes_array(b * (a - 1))
-    pi_s = int(np.searchsorted(p, pair.s, side="right"))
-    p_sorted, cuts = primelib.residue_classes(p, a)
-    total = 0
-    for v in range(1, a):
-        t = b * v
-        r = t % a
-        cls = p_sorted[cuts[r] : cuts[r + 1]]
-        total += int(np.searchsorted(cls, t, side="left"))
-    return _result(pair, total, pi_s, METHOD_RESIDUE)
+    """The gap_prime_counts kernel on the one b of the pair, plus pi(s); s < 2 gives (0, 0)."""
+    gapped = gap_prime_counts(pair.a, np.array([pair.b], dtype=np.int64), np.array([pair.s + 1], dtype=np.int64))
+    pi_s = np.searchsorted(primelib.primes_array(pair.s), pair.s, side="right")
+    return _result(pair, int(gapped[0]), int(pi_s), METHOD_RESIDUE)
 
 
 def _dense_prime_flags(limit: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Segmented prime sieve plus exact counts pi(x) and pi(x; m, l).
 
 The sieve is odd-only inside each window; windows default to 2**20 numbers.
-A module-level prime table backs the bulk array queries and grows on demand;
-it is built once up front when used from worker processes.
+A module-level prime table backs the bulk array queries and grows on demand.
+Each process grows its own: a sweep's forked workers each build the table
+they need, starting from whatever the parent had built before the fork.
 """
 
 import math

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import arith, bounds, pistar
 from . import primes as primelib
-from .errors import CheckpointCorrupt, DomainError, LimitExceeded
+from .errors import CheckpointCorrupt, DomainError
 from .semigroup import new_pair
 
 COJ1_STRICT = "strict"
@@ -238,7 +238,7 @@ def evaluate_pair(a: int, b: int, s: int, pi_star: int, pi_s: int) -> Verificati
     amin = a if a <= b else b
     if amin >= 3 and s >= 2:
         rhs = bounds.thm2_rhs(amin, s)
-        holds = bounds.pi_star_exceeds_thm2_rhs(pi_star, amin, s)
+        holds = bounds.pi_star_exceeds_thm2_rhs(pi_star, amin, s, rhs)
     else:
         rhs = math.nan
         holds = True  # threshold undefined; treated as vacuously holding
@@ -254,24 +254,26 @@ def evaluate_pair(a: int, b: int, s: int, pi_star: int, pi_s: int) -> Verificati
     return VerificationRecord(a, b, s, pi_star, pi_s, rhs, holds, thm1, coj1, coj2)
 
 
-def _cross_check(pair, pi_star: int, brute_cap: int):
-    """Raise unless residue-sum, and brute force when s <= brute_cap, also give pi_star."""
-    other = pistar.pi_star_residue_sum(pair)
-    if other.pi_star == pi_star and pair.s <= brute_cap:
+def _cross_check(pair, pi_star: int, pi_s: int, brute_cap: int):
+    """Raise unless fast, and brute force when s <= brute_cap, give the kernel's (pi_star, pi_s).
+
+    Neither route shares code with the residue-sum kernel: fast applies the
+    membership test to every prime <= s, brute force marks the semigroup.
+    """
+    other = pistar.pi_star_fast(pair)
+    if (other.pi_star, other.pi_s) == (pi_star, pi_s) and pair.s <= brute_cap:
         other = pistar.pi_star_bruteforce(pair, cap=brute_cap)
-    if other.pi_star != pi_star:
+    if (other.pi_star, other.pi_s) != (pi_star, pi_s):
         raise RuntimeError(
-            f"method disagreement at ({pair.a},{pair.b}): {other.method} {other.pi_star} vs fast {pi_star}"
+            f"method disagreement at ({pair.a},{pair.b}): {other.method} gives (pi_star, pi_s) = "
+            f"({other.pi_star}, {other.pi_s}), {pistar.METHOD_RESIDUE} ({pi_star}, {pi_s})"
         )
 
 
 def check_pair(a: int, b: int, cross_check: bool = False, brute_cap: int = pistar.BRUTE_FORCE_CAP) -> VerificationRecord:
-    """Full verdict record for one pair; optionally cross-check all methods."""
-    pair = new_pair(a, b)
-    fast = pistar.pi_star_fast(pair)
-    if cross_check:
-        _cross_check(pair, fast.pi_star, brute_cap)
-    return evaluate_pair(a, b, pair.s, fast.pi_star, fast.pi_s)
+    """Full verdict record for one pair, the one-b case of the sweep; optionally cross-checked."""
+    new_pair(a, b)  # NotCoprime or ValueError before any prime table is built
+    return _sweep_chunk(a, [b], cross_check, brute_cap)[0]
 
 
 # ----------------------------------------------------------------------
@@ -305,35 +307,10 @@ def _coprime_bs(a: int, lo: int, hi: int) -> list:
     return [b for b in range(lo, hi + 1) if math.gcd(a, b) == 1]
 
 
-def _gap_prime_counts(a: int, bs: np.ndarray, below: np.ndarray) -> np.ndarray:
-    """Gap primes p < below[i] of <a, bs[i]> for each i, all b at once (int64 arrays in, out).
-
-    The residue-sum identity: a prime p is a gap iff p < b*v for the v in
-    [1, a) with b*v = p (mod a), so the count is the sum over v of
-    #{p prime : p < min(b*v, below), p = b*v (mod a)}. Every (b, v) query is
-    answered by one searchsorted over the primes split into classes mod a.
-    Memory is O(len(bs) * a), so callers pass blocks of b values.
-    """
-    if a < 1 or bs.min(initial=1) < 1 or np.any(np.gcd(bs, a) != 1):
-        raise ValueError(f"every b must be a positive integer coprime to a = {a}")
-    top = max(int(below.max(initial=0)), 3)
-    # key = class * k + value orders the classes one after another; k exceeds
-    # every prime (< top) and every query (<= top)
-    k = top + 1
-    if a * k >= 2**63:
-        raise LimitExceeded(f"a * s ~ {a * k} overflows the int64 search keys")
-    p_sorted, cuts = primelib.residue_classes(primelib.primes_array(top - 1), a)
-    keys = np.repeat(np.arange(a, dtype=np.int64) * k, np.diff(cuts)) + p_sorted
-    t = np.multiply.outer(bs, np.arange(1, a, dtype=np.int64))
-    query = t % a * k
-    query += np.minimum(t, below[:, None])
-    found = np.searchsorted(keys, query, side="left").sum(axis=1)
-    # each position counts the primes of all lower classes too; as v runs over
-    # [1, a), b*v mod a runs over every class 1..a-1 once (b is coprime to a)
-    return found - int(cuts[1:a].sum())
-
-
-# (b, v) queries per block of iter_pair_stats: bounds the kernel's working memory
+# (b, v) queries per block of iter_pair_stats: a block holds _MAX_QUERIES // (a-1)
+# values of b, so each of the kernel's a-1 searchsorted calls answers at most that
+# many queries and its working arrays stay O(_MAX_QUERIES / a); each block splits
+# its prime table into the classes mod a once
 _MAX_QUERIES = 1 << 20
 
 
@@ -349,7 +326,7 @@ def iter_pair_stats(a: int, bs):
         s = a * block - a - block
         table = primelib.primes_array(max(int(s.max()), 2))
         pi_s = np.searchsorted(table, s, side="right")
-        pi_star = _gap_prime_counts(a, block, s + 1)
+        pi_star = pistar.gap_prime_counts(a, block, s + 1)
         yield from zip(block.tolist(), s.tolist(), pi_star.tolist(), pi_s.tolist())
 
 
@@ -518,11 +495,11 @@ def reproduce_thm1_cases(case_id: int, case1_samples: int = 200) -> Thm1CaseRepo
         failures = []
         n_pairs = 0
         for a in range(16, 181):
-            # at most 985 b values and 179 v values: one block of the kernel
+            # at most 985 b values: one call of the kernel
             bs = np.array(_coprime_bs(a, a + 1, 1000), dtype=np.int64)
             s = a * bs - a - bs
             pi_s = np.searchsorted(primelib.primes_array(int(s.max())), s, side="right")
-            low_gaps = _gap_prime_counts(a, bs, s // 20 + 1)
+            low_gaps = pistar.gap_prime_counts(a, bs, s // 20 + 1)
             failures += [(a, b) for b in bs[10_000 * low_gaps <= 663 * pi_s].tolist()]
             n_pairs += bs.size
         worst, ok = _delta_scan(CASE3_DELTA, range(16, 181), g_poly, CASE3_THRESHOLD)
@@ -586,7 +563,7 @@ def _sweep_chunk(a, bs, cross_check, brute_cap):
     out = []
     for b, s, ps, pis in iter_pair_stats(a, bs):
         if cross_check:
-            _cross_check(new_pair(a, b), ps, brute_cap)
+            _cross_check(new_pair(a, b), ps, pis, brute_cap)
         out.append(evaluate_pair(a, b, s, ps, pis))
     return out
 
@@ -635,11 +612,13 @@ def sweep(cfg: SweepConfig) -> SweepResult:
                 ckpt.write("".join(record_to_json(rec) + "\n" for rec in chunk_records))
                 ckpt.flush()
 
-        if cfg.workers <= 1 or len(tasks) <= 1:
+        # the pool forks all of its processes at the first submit: never more than there is work and cpus for
+        workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+        if workers <= 1:
             for a, bs in tasks:
                 emit(_sweep_chunk(a, bs, cfg.cross_check, cfg.brute_cap))
         else:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
                     pool.submit(_sweep_chunk, a, bs, cfg.cross_check, cfg.brute_cap) for a, bs in tasks
                 ]

@@ -98,8 +98,8 @@ def test_thm2_upper_decomposition():
 
 def test_guarded_verdicts_basic():
     # (3,5) is a known exception, (3,8) clears the threshold
-    assert not bounds.pi_star_exceeds_thm2_rhs(2, 3, 7)
-    assert bounds.pi_star_exceeds_thm2_rhs(4, 3, 13)
+    assert not bounds.pi_star_exceeds_thm2_rhs(2, 3, 7, bounds.thm2_rhs(3, 7))
+    assert bounds.pi_star_exceeds_thm2_rhs(4, 3, 13, bounds.thm2_rhs(3, 13))
     assert bounds.delta_exceeds(Fraction("0.0904"), 181, 181 * 181 - 182, Fraction("0.0401"))
     assert not bounds.delta_exceeds(Fraction("0.0904"), 181, 181 * 181 - 182, Fraction("0.9"))
     assert bounds.case4_constant_exceeds(15, Fraction("0.05334"))

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from coinprimes import pistar, primes, semigroup
@@ -101,6 +102,22 @@ def test_gap_primes_are_the_prime_gaps():
         pair = semigroup.new_pair(a, b)
         want = sum(1 for n in semigroup.gaps(pair) if primes.is_prime(n))
         assert pistar.pi_star_fast(pair).pi_star == want
+
+
+def test_gap_prime_counts_capped_queries():
+    """Capped queries count the prime gaps below the cap, as thm1 case 3 asks of the kernel."""
+    rows = [(3, [4, 5, 7, 8, 10, 11]), (5, [6, 7, 8, 9, 11, 12, 13]), (7, [8, 9, 10, 11, 12, 13, 30]), (11, [12, 13, 25])]
+    for a, bs in rows:
+        bs = np.array(bs, dtype=np.int64)
+        s = a * bs - a - bs
+        for below in (np.full(bs.size, 3), bs // 2, s // 20 + 1, s // 3, s + 1, 2 * s + 50):
+            got = pistar.gap_prime_counts(a, bs, below)
+            for b, cap, count in zip(bs.tolist(), below.tolist(), got.tolist()):
+                gaps = semigroup.gaps(semigroup.new_pair(a, b))
+                assert count == sum(1 for n in gaps if n < cap and primes.is_prime(n)), (a, b, cap)
+    # <3,5> has the prime gaps 2 and 7 (s = 7), and b*v runs over 5 and 10
+    for cap, want in [(3, 1), (7, 1), (8, 2), (10**6, 2)]:
+        assert pistar.gap_prime_counts(3, np.array([5]), np.array([cap])).tolist() == [want]
 
 
 def test_best_factor_direction():

@@ -1,14 +1,14 @@
 import json
 import math
+from concurrent.futures import Future
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coinprimes import pistar, verify
-from coinprimes.errors import CheckpointCorrupt, DomainError, LimitExceeded
+from coinprimes.errors import CheckpointCorrupt, DomainError
 from coinprimes.semigroup import new_pair
 
 
@@ -40,6 +40,16 @@ def test_check_pair_cross_methods():
     assert (rec.pi_star, rec.pi_s, rec.s) == (5, 9, 23)
     rec2 = verify.check_pair(3, 10001, cross_check=True)
     assert rec2.pi_star == 1741
+
+
+def test_cross_check_is_independent_of_the_kernel():
+    """A kernel that is off by one must fail the cross-check, so nothing it is compared with shares it."""
+    kernel = pistar.gap_prime_counts
+    with mock.patch.object(pistar, "gap_prime_counts", lambda *args: kernel(*args) + 1):
+        assert verify.check_pair(5, 7).pi_star == 6
+        for brute_cap in (pistar.BRUTE_FORCE_CAP, 0):
+            with pytest.raises(RuntimeError, match="method disagreement"):
+                verify.check_pair(5, 7, cross_check=True, brute_cap=brute_cap)
 
 
 def test_exp_threshold_b_max():
@@ -103,9 +113,6 @@ def test_iter_pair_stats_rejects_bad_input():
         list(verify.iter_pair_stats(6, [7, 9]))
     with pytest.raises(ValueError):
         list(verify.iter_pair_stats(3, [4, -1]))
-    # search keys past int64 are refused before any prime table is built
-    with pytest.raises(LimitExceeded):
-        verify._gap_prime_counts(3, np.array([4], dtype=np.int64), np.array([2**62], dtype=np.int64))
 
 
 def test_scan_coj2_exceptions_small():
@@ -302,6 +309,38 @@ def test_sweep_threads_deterministic():
     serial = verify.sweep(_small_cfg(a_max=8, b_max=80))
     threaded = verify.sweep(_small_cfg(a_max=8, b_max=80, workers=4))
     assert serial.records == threaded.records
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each task at submit."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_sweep_pool_size_is_bounded(monkeypatch):
+    """--threads N asks for at most one process per task and per cpu; no real process is started."""
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlineExecutor)
+    serial = verify.sweep(_small_cfg())
+    n_tasks = len(verify.grid_pairs(_small_cfg()))  # one task per a: every row is below the task size
+    for cpus, workers, want in [(64, 5000, n_tasks), (2, 5000, 2), (64, 3, 3), (None, 5000, None), (64, 1, None)]:
+        _InlineExecutor.sizes = []
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        assert verify.sweep(_small_cfg(workers=workers)).records == serial.records
+        assert _InlineExecutor.sizes == ([] if want is None else [want])
 
 
 def test_sweep_checkpoint_resume(tmp_path):
