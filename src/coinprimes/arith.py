@@ -1,7 +1,17 @@
-"""Elementary arithmetic: factorization, multiplicative functions, coprime counts."""
+"""Elementary arithmetic: factorization, multiplicative functions, coprime counts.
+
+The scalar functions take one integer; coprime_counts takes int64 columns.
+"""
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from . import primes as primelib
+
+# the first primes: their running product passes 2**63 at 53
+_FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 @dataclass(frozen=True)
@@ -87,3 +97,66 @@ def coprime_count_up_to(t, a: int, factored: FactoredInteger = None) -> int:
         q = math.floor(t / d) if as_float else t // d
         total += mu * int(q)
     return total
+
+
+def _max_omega(n: int) -> int:
+    """Most distinct prime factors an integer in [1, n] can have."""
+    k, prod = 0, 1
+    for p in _FIRST_PRIMES:
+        prod *= p
+        if prod > n:
+            break
+        k += 1
+    return k
+
+
+def coprime_counts(t: np.ndarray, a: np.ndarray):
+    """(#{v <= t_i : gcd(v, a_i) = 1}, phi(a_i)) for int64 columns a >= 1 and t >= 0.
+
+    Exact integers throughout. The column is trial-divided by the primes up to
+    sqrt(max a), each row's distinct primes filling at most _max_omega(max a)
+    slots, then mobius(d) * (t // d) is summed over the squarefree divisors d
+    of each row. Nothing is sieved up to max a, so sparse columns stay cheap.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    t = np.asarray(t, dtype=np.int64)
+    if a.size and a.min() < 1:
+        raise ValueError("needs a >= 1")
+    a_max = int(a.max(initial=1))
+    t0 = np.maximum(t, 0)
+    t1 = t0 + 1
+    # a slot a row does not fill holds t + 1, a divisor too large to count anything
+    fac = np.repeat(t1[:, None], max(_max_omega(a_max), 1), axis=1)
+    omega = np.zeros(a.size, dtype=np.int64)
+    phi = a.copy()
+    rest = a.copy()
+    for p in np.flatnonzero(primelib.sieve_segment(0, math.isqrt(a_max) + 1)).tolist():
+        hit = np.flatnonzero(rest % p == 0)
+        if not hit.size:
+            continue
+        fac[hit, omega[hit]] = p
+        omega[hit] += 1
+        phi[hit] = phi[hit] // p * (p - 1)
+        r = rest[hit] // p
+        more = r % p == 0
+        while more.any():
+            r[more] //= p
+            more = r % p == 0
+        rest[hit] = r
+    big = np.flatnonzero(rest > 1)  # one prime above sqrt(max a) at most
+    fac[big, omega[big]] = rest[big]
+    phi[big] = phi[big] // rest[big] * (rest[big] - 1)
+
+    counts = t0.copy()
+    room = [t0 // fac[:, k] for k in range(fac.shape[1])]  # div * fac[:, k] <= t iff div <= room[k]
+
+    def add_multiples(div, sign, first):
+        # the divisors div * (a product of slots >= first), each clamped to t + 1 once past t
+        nonlocal counts
+        for k in range(first, fac.shape[1]):
+            nxt = np.where(div <= room[k], div * fac[:, k], t1)
+            counts += sign * (t0 // nxt)
+            add_multiples(nxt, -sign, k + 1)
+
+    add_multiples(np.ones_like(t1), -1, 0)
+    return counts, phi

@@ -7,6 +7,15 @@ re-run in interval arithmetic at escalating precision until the enclosures
 separate. The compared quantities are integers or decimal rationals on one
 side and log-bearing expressions on the other, so exact ties cannot occur
 and the escalation terminates.
+
+The scans work on numpy columns. delta_column evaluates delta for a whole
+column of a at once: floor(d*a), phi(a) and the coprime count are exact
+integers, and the double expression repeats the scalar one operation for
+operation, so each row equals delta bit for bit. guarded_greater_column
+decides a column comparison from the doubles and sends only the rows within
+REL_GUARD to the interval guard. The envelope validators count primes with
+one searchsorted, or one bincount per slice for the progressions, and compare
+whole columns of counts against the envelopes the same way.
 """
 
 import math
@@ -91,26 +100,52 @@ def ap_fixed_range_bounds(x, m: int):
     return base, base * (1.0 + 2.5 / lx)
 
 
-def delta(d, a: int, s, factored: arith.FactoredInteger = None) -> float:
-    """Guaranteed share of primes <= s that the semigroup misses, at cut d.
+def _times_fraction(q: Fraction, x: np.ndarray):
+    """(floor(q*x), float(q*x)) for an int64 column x >= 0: exact floors, correctly rounded doubles."""
+    num, den = q.numerator, q.denominator
+    if num * max(int(x.max(initial=0)), -int(x.min(initial=0))) < 2**53 and den < 2**53:
+        prod = num * x  # exact in int64 and as a double, so the division rounds once
+        return prod // den, prod / den
+    xs = x.tolist()
+    return np.array([num * v // den for v in xs], dtype=np.int64), np.array([num * v / den for v in xs], dtype=float)
 
-    d may be float or Fraction; a Fraction keeps the inner coprime count
-    floor exact. Valid when d*s >= 17 and a < d*s.
+
+def delta_column(d, a, s) -> np.ndarray:
+    """delta(d, a_i, s_i) for int64 columns a and s, each row bit for bit the value of delta.
+
+    floor(d*a) and the coprime count below it are exact integers (arith.coprime_counts);
+    d*s is the correctly rounded double of the exact product, and the logs are math.log,
+    so every row repeats the scalar operations in the same order.
     """
     if not 0 < d <= 1:
         raise DomainError("needs 0 < d <= 1")
-    if a < 3:
+    q = Fraction(d)
+    a = np.asarray(a, dtype=np.int64)
+    s = np.asarray(s, dtype=np.int64)
+    if a.size and a.min() < 3:
         raise DomainError("needs a >= 3")
-    ds = d * s
-    if ds < 17 or a >= ds:
+    ds_floor, ds = _times_fraction(q, s)
+    # d*s >= 17 and a < d*s, decided exactly: an integer below d*s is below its floor unless d*s is that integer
+    if (ds_floor < np.maximum(a, 17)).any() or any(
+        q.numerator * int(s[i]) % q.denominator == 0 for i in np.flatnonzero(ds_floor == a).tolist()
+    ):
         raise DomainError("needs d*s >= 17 and a < d*s")
-    fac = factored if factored is not None else arith.factor(a)
-    n_cop = arith.coprime_count_up_to(d * a, a, factored=fac)
-    phi = arith.phi_of(fac)
-    ds_f = float(ds)
-    log_ds = math.log(ds_f)
-    term = 1.0 - (2.0 * n_cop / phi) / (1.0 - math.log(a) / log_ds) - log_ds / ds_f
+    n_cop, phi = arith.coprime_counts(_times_fraction(q, a)[0], a)
+    log_ds = np.fromiter(map(math.log, ds.tolist()), dtype=float, count=ds.size)
+    log_a = np.fromiter(map(math.log, a.tolist()), dtype=float, count=a.size)
+    term = 1.0 - (2.0 * n_cop / phi) / (1.0 - log_a / log_ds) - log_ds / ds
     return term * float(d)
+
+
+def delta(d, a: int, s, factored: arith.FactoredInteger = None) -> float:
+    """Guaranteed share of primes <= s that the semigroup misses, at cut d.
+
+    d may be float or Fraction; either is taken at its exact value, so the
+    inner coprime count floor is exact. Valid when d*s >= 17 and a < d*s.
+    The one-row call of delta_column, whose column factorization supplies
+    phi(a) and the coprime count; factored is accepted and not needed.
+    """
+    return float(delta_column(d, [a], [s])[0])
 
 
 def case4_constant(a: int) -> float:
@@ -166,6 +201,25 @@ def guarded_strictly_greater(lhs: float, rhs: float, lhs_fn, rhs_fn) -> bool:
     return _interval_strictly_greater(lhs_fn, rhs_fn)
 
 
+def guarded_greater_column(lhs, rhs, lhs_iv, rhs_iv) -> np.ndarray:
+    """Elementwise lhs > rhs over float arrays, each element decided as guarded_strictly_greater decides it.
+
+    Elements whose margin is within REL_GUARD, and only those, go through
+    guarded_strictly_greater with the interval builders lhs_iv(i) and rhs_iv(i)
+    of flat index i. A scalar side is broadcast.
+    """
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
+    out = lhs > rhs
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    for i in np.flatnonzero(np.abs(lhs - rhs) <= REL_GUARD * scale).tolist():
+        out.flat[i] = guarded_strictly_greater(float(lhs.flat[i]), float(rhs.flat[i]), lhs_iv(i), rhs_iv(i))
+    return out
+
+
+def _int_iv(n):
+    return lambda iv: iv.mpf(int(n))
+
+
 def _thm2_rhs_iv(a, s):
     def build(iv):
         return (iv.mpf(1) / 2 + iv.mpf(1) / (2 * (a - 1))) * iv.mpf(s) / iv.log(iv.mpf(s))
@@ -206,6 +260,22 @@ def delta_exceeds(d, a: int, s, threshold, factored: arith.FactoredInteger = Non
     )
 
 
+def delta_exceeds_column(d, a, s, threshold):
+    """(delta_column(d, a, s), guarded verdicts delta > threshold) for int64 columns a and s.
+
+    The verdicts are those of delta_exceeds, row by row: only rows within the
+    guard's margin of the threshold are built in interval arithmetic.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    s = np.asarray(s, dtype=np.int64)
+    vals = delta_column(d, a, s)
+    thr = Fraction(threshold)
+    above = guarded_greater_column(
+        vals, float(thr), lambda i: _delta_iv(d, int(a[i]), int(s[i])), lambda i: lambda iv: _iv_frac(iv, thr)
+    )
+    return vals, above
+
+
 def case4_constant_exceeds(a: int, threshold) -> bool:
     """Guarded verdict for case4_constant(a) > threshold."""
     val = case4_constant(a)
@@ -231,24 +301,55 @@ def log_spaced_ints(lo: int, hi: int, n: int) -> list:
     return sorted({min(max(int(round(v)), lo), hi) for v in vals})
 
 
+def _rs_iv(x, upper: bool):
+    def build(iv):
+        lx = iv.log(iv.mpf(x))
+        return iv.mpf(x) / lx * (1 + iv.mpf(3) / (2 * lx)) if upper else iv.mpf(x) / lx
+
+    return build
+
+
+def _ap_iv(x, m, upper: bool):
+    phi = arith.euler_phi(m)
+
+    def build(iv):
+        lx = iv.log(iv.mpf(x))
+        base = iv.mpf(x) / (phi * lx)
+        return base * (1 + iv.mpf(5) / (2 * lx)) if upper else base
+
+    return build
+
+
+def _mv_iv(y, k):
+    phi = arith.euler_phi(k)
+    return lambda iv: 2 * iv.mpf(y) / (phi * iv.log(iv.mpf(y) / k))
+
+
 def validate_rs_envelope(x_min: int = 17, x_max: int = 10_000_000, points: int = 200) -> EnvelopeCheck:
     """Check x/log x < pi(x) < rs_pi_upper(x) on a log-spaced grid."""
     xs = log_spaced_ints(max(x_min, 17), x_max, points)
     p = primelib.primes_array(x_max)
-    counts = np.searchsorted(p, xs, side="right")
+    counts = np.searchsorted(p, xs, side="right").tolist()
+    lows = [rs_pi_lower(x) for x in xs]
+    highs = [rs_pi_upper(x) for x in xs]
+    lower_ok = guarded_greater_column(counts, lows, lambda i: _int_iv(counts[i]), lambda i: _rs_iv(xs[i], False))
+    upper_ok = guarded_greater_column(highs, counts, lambda i: _rs_iv(xs[i], True), lambda i: _int_iv(counts[i]))
     violations = []
-    for x, c in zip(xs, counts.tolist()):
-        lo = rs_pi_lower(x)
-        hi = rs_pi_upper(x)
-        if not lo < c:
+    for i in np.flatnonzero(~(lower_ok & upper_ok)).tolist():
+        x, c, lo, hi = xs[i], counts[i], lows[i], highs[i]
+        if not lower_ok[i]:
             violations.append(BoundReport("rs-lower", {"x": x}, lo, float(c), False, c - lo))
-        if not c < hi:
+        if not upper_ok[i]:
             violations.append(BoundReport("rs-upper", {"x": x}, float(c), hi, False, hi - c))
     return EnvelopeCheck("rosser-schoenfeld", 2 * len(xs), violations)
 
 
 def validate_ap_envelope(m_max: int = 50, x_max: int = 10_000_000, points: int = 20) -> EnvelopeCheck:
-    """Check the fixed-range progression envelope for every m <= m_max, coprime l."""
+    """Check the fixed-range progression envelope for every m <= m_max, coprime l.
+
+    No sort: the primes between consecutive x are counted per class with one
+    bincount each, and a running sum gives every class count at every x.
+    """
     p = primelib.primes_array(x_max)
     violations = []
     checked = 0
@@ -257,23 +358,29 @@ def validate_ap_envelope(m_max: int = 50, x_max: int = 10_000_000, points: int =
         if lo_x > x_max:
             break
         xs = log_spaced_ints(lo_x, x_max, points)
-        p_sorted, cuts = primelib.residue_classes(p, m)
-        for l in range(m):
-            if math.gcd(l, m) != 1:
-                continue
-            cls = p_sorted[cuts[l] : cuts[l + 1]]
-            counts = np.searchsorted(cls, xs, side="right")
-            for x, c in zip(xs, counts.tolist()):
-                lo, hi = ap_fixed_range_bounds(x, m)
-                checked += 2
-                if not lo < c:
-                    violations.append(
-                        BoundReport("ap-lower", {"x": x, "m": m, "l": l}, lo, float(c), False, c - lo)
-                    )
-                if not c < hi:
-                    violations.append(
-                        BoundReport("ap-upper", {"x": x, "m": m, "l": l}, float(c), hi, False, hi - c)
-                    )
+        ends = np.searchsorted(p, xs, side="right").tolist()
+        slices = zip([0] + ends[:-1], ends)
+        by_x = np.cumsum([np.bincount(p[i0:i1] % m, minlength=m) for i0, i1 in slices], axis=0)
+        ls = [l for l in range(m) if math.gcd(l, m) == 1]
+        counts = by_x[:, ls].T  # row l, column x
+        env = [ap_fixed_range_bounds(x, m) for x in xs]
+        lows, highs = np.array(env).T
+        nx = len(xs)
+        lower_ok = guarded_greater_column(
+            counts, lows, lambda i: _int_iv(counts.flat[i]), lambda i: _ap_iv(xs[i % nx], m, False)
+        )
+        upper_ok = guarded_greater_column(
+            highs, counts, lambda i: _ap_iv(xs[i % nx], m, True), lambda i: _int_iv(counts.flat[i])
+        )
+        checked += 2 * counts.size
+        for i in np.flatnonzero(~(lower_ok & upper_ok)).tolist():
+            row, col = divmod(i, nx)
+            x, l, c = xs[col], ls[row], int(counts.flat[i])
+            lo, hi = env[col]
+            if not lower_ok.flat[i]:
+                violations.append(BoundReport("ap-lower", {"x": x, "m": m, "l": l}, lo, float(c), False, c - lo))
+            if not upper_ok.flat[i]:
+                violations.append(BoundReport("ap-upper", {"x": x, "m": m, "l": l}, float(c), hi, False, hi - c))
     return EnvelopeCheck("ap-fixed-range", checked, violations)
 
 
@@ -287,7 +394,9 @@ def validate_mv_bound(
     """Sample (x, y, k, l) with k < y and compare interval class counts to mv_upper."""
     rng = np.random.default_rng(seed)
     p = primelib.primes_array(x_max + y_max)
-    violations = []
+    draws = []
+    counts = []
+    uppers = []
     for _ in range(samples):
         k = int(math.exp(rng.uniform(0.0, math.log(k_max))))
         k = max(k, 1)
@@ -298,10 +407,16 @@ def validate_mv_bound(
         i0 = np.searchsorted(p, x, side="right")
         i1 = np.searchsorted(p, x + y, side="right")
         seg = p[i0:i1]
-        count = int(np.count_nonzero(seg % k == l))
-        bound = mv_upper(x, y, k, l)
-        if not count < bound:
-            violations.append(
-                BoundReport("mv-upper", {"x": x, "y": y, "k": k, "l": l}, float(count), bound, False, bound - count)
-            )
+        draws.append((x, y, k, l))
+        counts.append(int(np.count_nonzero(seg % k == l)))
+        uppers.append(mv_upper(x, y, k, l))
+    ok = guarded_greater_column(
+        uppers, counts, lambda i: _mv_iv(draws[i][1], draws[i][2]), lambda i: _int_iv(counts[i])
+    )
+    violations = []
+    for i in np.flatnonzero(~ok).tolist():
+        (x, y, k, l), count, bound = draws[i], counts[i], uppers[i]
+        violations.append(
+            BoundReport("mv-upper", {"x": x, "y": y, "k": k, "l": l}, float(count), bound, False, bound - count)
+        )
     return EnvelopeCheck("montgomery-vaughan", samples, violations)

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import arith, bounds, pistar
+from . import bounds, pistar
 from . import primes as primelib
 from .errors import CheckpointCorrupt, DomainError
 from .semigroup import new_pair
@@ -417,7 +417,15 @@ def _strict_half_window_ok(a: int) -> bool:
     ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
     counts = np.searchsorted(table, ns, side="right")
     rhs = ns / np.log(ns) * (1.0 + 1.0 / (a - 1))
-    return bool(np.all(counts < rhs))
+    # a row within the guard's margin is re-decided in intervals, so np.log's last bit cannot flip a verdict
+    below = bounds.guarded_greater_column(
+        rhs, counts, lambda i: _window_rhs_iv(a, int(ns[i])), lambda i: lambda iv: iv.mpf(int(counts[i]))
+    )
+    return bool(below.all())
+
+
+def _window_rhs_iv(a: int, n: int):
+    return lambda iv: iv.mpf(n) / iv.log(iv.mpf(n)) * (1 + iv.mpf(1) / (a - 1))
 
 
 def reproduce_thm3(a: int) -> Thm3Report:
@@ -461,18 +469,11 @@ def case1_sample_points(n: int = 200, lo: int = 60001, hi: int = 10_000_000) -> 
     return bounds.log_spaced_ints(lo, hi, n)
 
 
-def _delta_scan(d: Fraction, a_values, s_of_a, threshold: Fraction):
-    worst = math.inf
-    ok = True
-    for a in a_values:
-        fac = arith.factor(a)
-        s = s_of_a(a)
-        val = bounds.delta(d, a, s, factored=fac)
-        if val < worst:
-            worst = val
-        if not bounds.delta_exceeds(d, a, s, threshold, factored=fac):
-            ok = False
-    return worst, ok
+def _delta_scan(d: Fraction, a, s_of_a, threshold: Fraction):
+    """(min of delta(d, a, s_of_a(a)) over the column a, whether every value exceeds threshold)."""
+    a = np.asarray(a, dtype=np.int64)
+    vals, above = bounds.delta_exceeds_column(d, a, s_of_a(a), threshold)
+    return float(vals.min()), bool(above.all())
 
 
 def reproduce_thm1_cases(case_id: int, case1_samples: int = 200) -> Thm1CaseReport:

@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
-from coinprimes import arith, bounds, pistar, primes, semigroup
+from coinprimes import arith, bounds, pistar, primes, semigroup, verify
 from coinprimes.errors import DomainError
 
 
@@ -65,6 +66,77 @@ def test_delta_value_and_domain():
         bounds.delta(0.1, 3, 100)  # d*s below 17
     with pytest.raises(DomainError):
         bounds.delta(0.1, 100, 500)  # a not below d*s
+
+
+def _delta_reference(d, a, s):
+    """delta as the scalar formula computed it row by row: arith.factor, Fraction floors, math.log."""
+    fac = arith.factor(a)
+    n_cop = arith.coprime_count_up_to(d * a, a, factored=fac)
+    phi = arith.phi_of(fac)
+    ds_f = float(d * s)
+    log_ds = math.log(ds_f)
+    term = 1.0 - (2.0 * n_cop / phi) / (1.0 - math.log(a) / log_ds) - log_ds / ds_f
+    return term * float(d)
+
+
+def _assert_delta_column_exact(d, a, s):
+    a = np.asarray(a, dtype=np.int64)
+    s = np.asarray(s, dtype=np.int64)
+    col = bounds.delta_column(d, a, s)
+    want = np.array([_delta_reference(d, int(x), int(y)) for x, y in zip(a, s)])
+    assert np.array_equal(col.view(np.int64), want.view(np.int64))  # bit for bit
+    return col
+
+
+def test_delta_column_matches_scalar_formula_bit_for_bit():
+    a1 = np.array(verify.case1_sample_points(200), dtype=np.int64)
+    _assert_delta_column_exact(verify.CASE1_DELTA, a1, verify.h_poly(a1))
+    a3 = np.arange(16, 181, dtype=np.int64)
+    _assert_delta_column_exact(verify.CASE3_DELTA, a3, verify.g_poly(a3))
+    a2 = np.arange(181, 60001, dtype=np.int64)
+    argmin = int(a2[np.argmin(bounds.delta_column(verify.CASE2_DELTA, a2, verify.h_poly(a2)))])
+    # plus two rows where np.log(d*s) is one ulp off math.log
+    a2 = np.append(a2[::97], [argmin, 6502, 17413])
+    _assert_delta_column_exact(verify.CASE2_DELTA, a2, verify.h_poly(a2))
+    # a float cut, taken at its exact binary value
+    _assert_delta_column_exact(0.1, a1[::10], verify.h_poly(a1[::10]))
+    # six, seven and eight distinct primes and their neighbours;
+    # np.log is one ulp off math.log at 80707 (log d*s) and 141614 (log a)
+    many = np.array([30030, 60060, 510510, 570570, 9699690, 9699691, 7759752, 80707, 141614], dtype=np.int64)
+    assert {arith.omega(int(x)) for x in many} >= {6, 7, 8}
+    _assert_delta_column_exact(Fraction(1, 10), many, verify.h_poly(many))
+    assert bounds.delta(Fraction(1, 10), 9699690, 10**14) == _delta_reference(Fraction(1, 10), 9699690, 10**14)
+
+
+def test_delta_column_domain():
+    with pytest.raises(DomainError):
+        bounds.delta_column(Fraction(1, 10), [2, 50], [10**4, 10**4])
+    with pytest.raises(DomainError):
+        bounds.delta_column(Fraction(1, 10), [50, 50], [10**4, 169])  # d*s below 17
+    with pytest.raises(DomainError):
+        bounds.delta_column(Fraction(1, 10), [50], [500])  # d*s equal to a
+    assert bounds.delta_column(Fraction(1, 10), [50], [501]).size == 1  # a just below d*s
+
+
+def test_delta_exceeds_column_escalates_near_the_threshold(monkeypatch):
+    d = verify.CASE3_DELTA
+    a = np.arange(16, 181, dtype=np.int64)
+    s = verify.g_poly(a)
+    vals, above = bounds.delta_exceeds_column(d, a, s, verify.CASE3_THRESHOLD)
+    assert above.all()
+    # a threshold equal to the smallest double: that row alone must be decided in intervals
+    k = int(np.argmin(vals))
+    thr = Fraction(float(vals[k]))
+    escalated = []
+    real = bounds._interval_strictly_greater
+    monkeypatch.setattr(
+        bounds, "_interval_strictly_greater", lambda lf, rf: escalated.append(1) or real(lf, rf)
+    )
+    vals2, above = bounds.delta_exceeds_column(d, a, s, thr)
+    assert np.array_equal(vals, vals2)
+    assert len(escalated) == 1
+    assert above[k] == bounds.delta_exceeds(d, int(a[k]), int(s[k]), thr)
+    assert np.delete(above, k).all()
 
 
 def test_delta_grows_with_s():
@@ -153,6 +225,94 @@ def test_log_spaced_ints():
     assert bounds.log_spaced_ints(5, 5, 10) == [5]
     with pytest.raises(ValueError):
         bounds.log_spaced_ints(10, 5, 3)
+
+
+def _ap_envelope_reference(m_max, x_max, points):
+    """The envelope check with per-class sorted searches: residue_classes, then searchsorted per (m, l)."""
+    p = primes.primes_array(x_max)
+    violations = []
+    checked = 0
+    for m in range(1, m_max + 1):
+        if 50 * m * m > x_max:
+            break
+        xs = bounds.log_spaced_ints(50 * m * m, x_max, points)
+        p_sorted, cuts = primes.residue_classes(p, m)
+        for l in range(m):
+            if math.gcd(l, m) != 1:
+                continue
+            counts = np.searchsorted(p_sorted[cuts[l] : cuts[l + 1]], xs, side="right")
+            for x, c in zip(xs, counts.tolist()):
+                lo, hi = bounds.ap_fixed_range_bounds(x, m)
+                checked += 2
+                where = {"x": x, "m": m, "l": l}
+                if not lo < c:
+                    violations.append(bounds.BoundReport("ap-lower", where, lo, float(c), False, c - lo))
+                if not c < hi:
+                    violations.append(bounds.BoundReport("ap-upper", where, float(c), hi, False, hi - c))
+    return checked, violations
+
+
+def test_ap_envelope_counts_and_violation_order(monkeypatch):
+    real = bounds.ap_fixed_range_bounds
+
+    def too_tight(x, m):
+        # crosses the true counts: some rows fail low, some high, some both, some neither
+        lo, hi = real(x, m)
+        return 1.08 * lo + (x % 7) * 0.02 * lo, lo + (x % 5) * 0.03 * lo
+
+    monkeypatch.setattr(bounds, "ap_fixed_range_bounds", too_tight)
+    for m_max, x_max, points in ((12, 10**6, 8), (2, 10**4, 5), (1, 5000, 3)):
+        got = bounds.validate_ap_envelope(m_max=m_max, x_max=x_max, points=points)
+        checked, want = _ap_envelope_reference(m_max, x_max, points)
+        assert got.n_checked == checked
+        assert got.violations == want
+        assert [repr(v) for v in got.violations] == [repr(v) for v in want]  # plain ints and floats
+    kinds = {v.name for v in got.violations} | {v.name for v in bounds.validate_ap_envelope(12, 10**6, 8).violations}
+    assert kinds == {"ap-lower", "ap-upper"}
+
+
+def test_envelopes_decided_in_intervals_agree(monkeypatch):
+    # with the guard wide open every comparison is built in interval arithmetic
+    plain = (
+        bounds.validate_rs_envelope(x_max=10**5, points=30),
+        bounds.validate_ap_envelope(m_max=3, x_max=10**5, points=4),
+        bounds.validate_mv_bound(samples=40, x_max=10**4, y_max=10**4, k_max=50, seed=3),
+        verify._strict_half_window_ok(9),
+    )
+    calls = []
+    real = bounds._interval_strictly_greater
+    monkeypatch.setattr(bounds, "_interval_strictly_greater", lambda lf, rf: calls.append(1) or real(lf, rf))
+    monkeypatch.setattr(bounds, "REL_GUARD", 1.0)
+    rs = bounds.validate_rs_envelope(x_max=10**5, points=30)
+    ap = bounds.validate_ap_envelope(m_max=3, x_max=10**5, points=4)
+    mv = bounds.validate_mv_bound(samples=40, x_max=10**4, y_max=10**4, k_max=50, seed=3)
+    assert (rs, ap, mv) == plain[:3]
+    assert len(calls) == rs.n_checked + ap.n_checked + mv.n_checked
+    # the strict-half window of a = 9 has 29 rows within 1e-3 of its bound
+    monkeypatch.setattr(bounds, "REL_GUARD", 1e-3)
+    calls.clear()
+    assert verify._strict_half_window_ok(9) == plain[3] is True
+    assert len(calls) == 29
+
+
+def test_guarded_greater_column_decides_only_close_rows():
+    # rows 1 and 3 tie in doubles and are decided in intervals; rows 0 and 2 never ask for a builder
+    q = _close_rational_to_e(49)
+    lhs_builders = {1: lambda iv: iv.exp(1), 3: lambda iv: iv.mpf(1)}
+    rhs_builders = {1: lambda iv: iv.mpf(q.numerator) / q.denominator, 3: lambda iv: iv.mpf(3) / 2}
+    asked = []
+
+    def lhs_iv(i):
+        asked.append(i)
+        return lhs_builders[i]
+
+    lhs = np.array([2.0, math.e, 1.0, 1.0])
+    rhs = np.array([1.0, float(q), 3.0, 1.0])
+    out = bounds.guarded_greater_column(lhs, rhs, lhs_iv, rhs_builders.__getitem__)
+    assert out.tolist() == [True, True, False, False]
+    assert asked == [1, 3]
+    # a scalar side broadcasts
+    assert bounds.guarded_greater_column(lhs, 1.5, None, None).tolist() == [True, True, False, False]
 
 
 def test_validators_small_scale():

@@ -171,6 +171,9 @@ GOLDEN = [
         0,
         "4db5ffb6728367ab0b3a644100eda63034ee720cc6caf55ebbcb2648097c61da",
     ),
+    ("verify thm1 --case 1", 0, "835f522008394481af34fd2769b0feec6371e4b3e9357692d79d2caef500e9c2"),
+    ("verify thm1 --case 2", 0, "d926a453ae5af08be667d5faca07860b46abdcbbfd0536158be11b715d0eec6f"),
+    ("verify bounds --check all --seed 1", 0, "439f3ab07f575b6967b9c123c8baee5088f06f19b147787c8984d75a3101e486"),
 ]
 
 
