@@ -1,16 +1,19 @@
 """Segmented prime sieve plus exact counts pi(x) and pi(x; m, l).
 
-The sieve is odd-only inside each window; windows default to 2**20 numbers.
-A module-level prime table backs the bulk array queries and grows on demand.
-Each process grows its own: a sweep's forked workers each build the table
-they need, starting from whatever the parent had built before the fork.
+Each sieve window stores one bool per odd number, so a window of 2**21
+numbers takes 1 MiB. A module-level prime table backs the bulk array queries
+and grows on demand, written window by window into one buffer sized by an
+upper bound on pi. Each process grows its own: a sweep's forked workers each
+build the table they need, starting from whatever the parent had built before
+the fork. Splitting the table into classes mod m sorts (class, prime) keys
+packed into one int64 array in place, so no index array is made.
 """
 
 import math
 
 import numpy as np
 
-DEFAULT_WINDOW = 1 << 20
+DEFAULT_WINDOW = 1 << 21
 
 # Witnesses making Miller-Rabin deterministic far beyond 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -39,45 +42,44 @@ def _base_primes_upto(limit: int) -> np.ndarray:
     return _base_primes[:idx]
 
 
-def sieve_segment(lo: int, hi: int) -> np.ndarray:
-    """Primality bits for the half-open window [lo, hi): bits[i] is True iff lo + i is prime."""
+def _odd_sieve(lo: int, hi: int):
+    """Odd-only primality bits for [lo, hi): (first, bits), bits[i] True iff first + 2*i is prime.
+
+    first is the least odd number >= max(lo, 3); 2 is never represented.
+    """
     if lo < 0 or hi < lo:
         raise ValueError("segment needs 0 <= lo <= hi")
-    bits = np.zeros(hi - lo, dtype=bool)
-    if hi <= 2:
-        return bits
-    first = max(lo, 3)
-    if first % 2 == 0:
-        first += 1
-    if first < hi:
-        bits[first - lo :: 2] = True
-    if lo <= 2 < hi:
-        bits[2 - lo] = True
-    for p in _base_primes_upto(math.isqrt(hi - 1)):
-        p = int(p)
-        if p == 2:
-            continue
-        start = max(p * p, ((lo + p - 1) // p) * p)
+    first = max(lo, 3) | 1
+    bits = np.ones(max(hi - first + 1, 0) // 2, dtype=bool)
+    for p in _base_primes_upto(math.isqrt(max(hi - 1, 0)))[1:].tolist():
+        start = max(p * p, -(-lo // p) * p)
         if start % 2 == 0:
             start += p
-        if start < hi:
-            bits[start - lo :: 2 * p] = False
+        bits[(start - first) // 2 :: p] = False
+    return first, bits
+
+
+def sieve_segment(lo: int, hi: int) -> np.ndarray:
+    """Primality bits for the half-open window [lo, hi): bits[i] is True iff lo + i is prime."""
+    first, odd = _odd_sieve(lo, hi)
+    bits = np.zeros(hi - lo, dtype=bool)
+    bits[first - lo :: 2] = odd
+    if lo <= 2 < hi:
+        bits[2 - lo] = True
     return bits
-
-
-def segments(lo: int, hi: int, window: int = None):
-    """Yield (start, bits) for consecutive sieve windows covering [lo, hi)."""
-    w = window if window else DEFAULT_WINDOW
-    if w < 1:
-        raise ValueError("window must be positive")
-    for start in range(lo, hi, w):
-        yield start, sieve_segment(start, min(start + w, hi))
 
 
 def prime_windows(lo: int, hi: int, window: int = None):
     """Yield nonempty int64 arrays of the primes in [lo, hi), window by window."""
-    for start, bits in segments(lo, hi, window):
-        arr = np.flatnonzero(bits).astype(np.int64) + start
+    w = window if window else DEFAULT_WINDOW
+    if w < 1:
+        raise ValueError("window must be positive")
+    for start in range(lo, hi, w):
+        end = min(start + w, hi)
+        first, bits = _odd_sieve(start, end)
+        arr = 2 * np.flatnonzero(bits) + first
+        if start <= 2 < end:
+            arr = np.concatenate(([2], arr))
         if arr.size:
             yield arr
 
@@ -86,7 +88,7 @@ def pi(x, window: int = None) -> int:
     """Exact count of primes <= x."""
     if x < 2:
         return 0
-    return sum(int(bits.sum()) for _, bits in segments(0, int(x) + 1, window))
+    return sum(arr.size for arr in prime_windows(0, int(x) + 1, window))
 
 
 _cached = np.empty(0, dtype=np.int64)
@@ -102,21 +104,35 @@ def primes_array(limit: int) -> np.ndarray:
     global _cached, _cached_limit
     if limit > _cached_limit:
         new_limit = max(int(limit), 2 * _cached_limit, 1 << 16)
-        chunks = list(prime_windows(0, new_limit + 1))
-        _cached = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        _cached_limit = new_limit
+        # pi(x) < 1.25506 x / log x for x > 1 (Rosser and Schoenfeld), so one buffer takes every window
+        table = np.empty(int(1.25506 * new_limit / math.log(new_limit)) + 1, dtype=np.int64)
+        n = 0
+        for arr in prime_windows(0, new_limit + 1):
+            table[n : n + arr.size] = arr
+            n += arr.size
+        _cached, _cached_limit = table[:n], new_limit
     idx = np.searchsorted(_cached, limit, side="right")
     return _cached[:idx]
 
 
 def residue_classes(p: np.ndarray, m: int):
-    """Group ascending primes by residue mod m.
+    """Group ascending int64 primes by residue mod m.
 
     Returns (p_sorted, cuts): class l is p_sorted[cuts[l] : cuts[l + 1]], still ascending.
     """
-    res = p % m
-    order = np.argsort(res, kind="stable")
-    return p[order], np.searchsorted(res[order], np.arange(m + 1))
+    if m < 1:
+        raise ValueError("modulus must be >= 1")
+    shift = int(p[-1]).bit_length() if p.size else 0
+    if (m - 1) >> (63 - shift):
+        raise ValueError("modulus and primes too large to pack into int64 keys")
+    # (class, prime) packed into one int64 and sorted in place; the primes are distinct, so this is the stable order
+    key = p % m
+    cuts = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=m))))
+    key <<= shift
+    key |= p
+    key.sort()
+    key &= (1 << shift) - 1
+    return key, cuts
 
 
 def pi_ap(x, m: int, l: int) -> int:

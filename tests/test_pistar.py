@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coinprimes import pistar, primes, semigroup
 from coinprimes.errors import DomainError, LimitExceeded, NotCoprime
@@ -52,6 +54,28 @@ def test_methods_agree_random_pairs():
         bf = pistar.pi_star_bruteforce(pair).pi_star
         assert f == r == bf, (a, b)
         checked += 1
+
+
+@st.composite
+def _pair_and_window(draw):
+    a = draw(st.integers(1, 60))
+    b_max = 200_000 if a == 1 else (200_000 + a) // (a - 1)  # keeps s = a*b - a - b <= 2e5
+    b = draw(st.integers(1, b_max).filter(lambda b: math.gcd(a, b) == 1))
+    return a, b, draw(st.integers(16, 4096))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pair_and_window())
+@example((1, 7, 16))
+@example((3, 5, 17))
+@example((7, 33333, 4096))  # s = 199,991
+def test_three_routes_agree_property(case):
+    a, b, window = case
+    pair = semigroup.new_pair(a, b)
+    f = pistar.pi_star_fast(pair, window=window)
+    r = pistar.pi_star_residue_sum(pair)
+    bf = pistar.pi_star_bruteforce(pair)
+    assert (f.pi_star, f.pi_s) == (r.pi_star, r.pi_s) == (bf.pi_star, bf.pi_s), case
 
 
 def test_symmetry_in_generators():

@@ -1,7 +1,9 @@
+import bisect
 import math
 import random
 
 import numpy as np
+import pytest
 
 from coinprimes import primes
 
@@ -14,8 +16,25 @@ def trial_primes(lo, hi):
     return out
 
 
-# half-open windows [lo, hi), including empty and single-number ones
-WINDOWS = [(0, 2), (0, 100), (1, 2), (2, 3), (90, 90), (97, 98), (10**4, 10**4 + 500), (10, 30), (23, 24), (24, 24)]
+def _windows():
+    """Half-open windows [lo, hi): empty and single-number ones, either parity of lo,
+    widths 1-3, windows straddling 2 and 3, and windows ending on a prime square."""
+    out = [(0, 2), (0, 100), (1, 2), (2, 3), (90, 90), (97, 98), (10**4, 10**4 + 500), (10, 30), (23, 24), (24, 24)]
+    out += [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6)]
+    out += [(lo, q * q + 1) for q in (7, 11, 19) for lo in range(q * q - 3, q * q + 1)]
+    rng = random.Random(23)
+    for _ in range(40):
+        lo = rng.randrange(0, 10**4)
+        out += [(lo, lo + width) for width in (1, 2, 3, rng.randrange(4, 400))]
+    return out
+
+
+WINDOWS = _windows()
+REFERENCE = trial_primes(0, max(hi for _, hi in WINDOWS))
+
+
+def reference_primes(lo, hi):
+    return REFERENCE[bisect.bisect_left(REFERENCE, lo) : bisect.bisect_left(REFERENCE, hi)]
 
 
 def segment_primes(lo, hi):
@@ -24,15 +43,16 @@ def segment_primes(lo, hi):
 
 def test_sieve_segment_small_windows():
     for lo, hi in WINDOWS:
-        assert segment_primes(lo, hi) == trial_primes(lo, hi)
+        assert segment_primes(lo, hi) == reference_primes(lo, hi), (lo, hi)
 
 
 def test_prime_windows():
     for lo, hi in WINDOWS:
-        for window in (None, 7, 64):
+        for window in (None, 1, 2, 3, 7, 64):
             arrays = list(primes.prime_windows(lo, hi, window))
             assert all(a.size and a.dtype == np.int64 for a in arrays)
-            assert [int(p) for a in arrays for p in a] == trial_primes(lo, hi)
+            assert [int(p) for a in arrays for p in a] == reference_primes(lo, hi), (lo, hi, window)
+        assert primes.pi(hi - 1) == len(reference_primes(0, hi)), hi
 
 
 def test_sieve_segment_random_windows():
@@ -75,6 +95,35 @@ def test_primes_array_is_sorted_prefix():
     bigger = primes.primes_array(10**5)
     assert len(bigger) == primes.pi(10**5)
     assert np.array_equal(bigger[: len(arr)], arr)
+    # a table of several sieve windows, against the sieve bits directly
+    x = 5 * 10**6
+    assert np.array_equal(primes.primes_array(x), np.flatnonzero(primes.sieve_segment(0, x + 1)))
+
+
+def _classes_reference(p, m):
+    res = p % m
+    order = np.argsort(res, kind="stable")
+    return p[order], np.searchsorted(res[order], np.arange(m + 1))
+
+
+def test_residue_classes_matches_int64_reference():
+    p = primes.primes_array(3 * 10**5)  # holds 131071 = 65535 (mod 65536), the top residue mod 65536
+    for m in (1, 2, 255, 256, 257, 65535, 65536, 65537):
+        for arr in (p, p[:0], p[5:6]):
+            got, cuts = primes.residue_classes(arr, m)
+            want, want_cuts = _classes_reference(arr, m)
+            assert got.dtype == np.int64 and cuts.dtype == np.int64 and cuts.size == m + 1
+            assert np.array_equal(got, want) and np.array_equal(cuts, want_cuts), (m, arr.size)
+
+
+def test_residue_classes_rejects_bad_modulus():
+    for m in (0, -3):
+        with pytest.raises(ValueError):
+            primes.residue_classes(primes.primes_array(100), m)
+    with pytest.raises(ValueError):  # residue and value bits together pass 63
+        primes.residue_classes(np.array([2, 3, 2**61 + 1]), 3)
+    got, cuts = primes.residue_classes(np.array([2, 3, 2**61 + 1]), 2)
+    assert got.tolist() == [2, 3, 2**61 + 1] and cuts.tolist() == [0, 1, 3]
 
 
 def test_pi_ap_point_values():
