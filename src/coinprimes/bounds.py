@@ -13,7 +13,9 @@ column of a at once: floor(d*a), phi(a) and the coprime count are exact
 integers, and the double expression repeats the scalar one operation for
 operation, so each row equals delta bit for bit. guarded_greater_column
 decides a column comparison from the doubles and sends only the rows within
-REL_GUARD to the interval guard. The envelope validators count primes with
+REL_GUARD to the interval guard; thm2_rhs_column and
+pi_star_exceeds_thm2_rhs_column do the same for the thm2 threshold of a
+sweep block. The envelope validators count primes with
 one searchsorted, or one bincount per slice for the progressions, and compare
 whole columns of counts against the envelopes the same way.
 """
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from . import arith
@@ -65,6 +66,16 @@ def thm2_rhs(a: int, s) -> float:
     if s < 2:
         raise DomainError("needs s >= 2")
     return (0.5 + 0.5 / (a - 1)) * s / math.log(s)
+
+
+def thm2_rhs_column(a, s) -> np.ndarray:
+    """thm2_rhs(a_i, s_i) for integer columns with a >= 3 and s >= 2, each row bit for bit the scalar value.
+
+    The logs are math.log mapped over s: np.log is one ulp off on some s.
+    Object columns (integers past int64) follow Python's int and float rules, as the scalar does.
+    """
+    log_s = np.fromiter(map(math.log, s.tolist()), dtype=float, count=len(s))
+    return np.asarray((0.5 + 0.5 / (a - 1)) * s / log_s, dtype=float)
 
 
 def mv_upper(x, y, k: int, l: int) -> float:
@@ -137,13 +148,13 @@ def delta_column(d, a, s) -> np.ndarray:
     return term * float(d)
 
 
-def delta(d, a: int, s, factored: arith.FactoredInteger = None) -> float:
+def delta(d, a: int, s) -> float:
     """Guaranteed share of primes <= s that the semigroup misses, at cut d.
 
     d may be float or Fraction; either is taken at its exact value, so the
     inner coprime count floor is exact. Valid when d*s >= 17 and a < d*s.
     The one-row call of delta_column, whose column factorization supplies
-    phi(a) and the coprime count; factored is accepted and not needed.
+    phi(a) and the coprime count.
     """
     return float(delta_column(d, [a], [s])[0])
 
@@ -178,6 +189,8 @@ def _iv_frac(ctx, q: Fraction):
 
 
 def _interval_strictly_greater(lhs_fn, rhs_fn) -> bool:
+    import mpmath  # only escalations need it, and most runs have none: kept off the import path
+
     for prec in _GUARD_PRECISIONS:
         iv = mpmath.iv
         old = iv.prec
@@ -232,9 +245,16 @@ def pi_star_exceeds_thm2_rhs(pi_star: int, a: int, s: int, rhs: float) -> bool:
     return guarded_strictly_greater(float(pi_star), rhs, lambda iv: iv.mpf(pi_star), _thm2_rhs_iv(a, s))
 
 
-def _delta_iv(d, a, s, factored=None):
+def pi_star_exceeds_thm2_rhs_column(pi_star, a, s, rhs) -> np.ndarray:
+    """pi_star_exceeds_thm2_rhs row by row over integer columns; rhs is thm2_rhs_column(a, s), from the caller."""
+    return guarded_greater_column(
+        pi_star, rhs, lambda i: _int_iv(pi_star[i]), lambda i: _thm2_rhs_iv(int(a[i]), int(s[i]))
+    )
+
+
+def _delta_iv(d, a, s):
     d = Fraction(d)
-    fac = factored if factored is not None else arith.factor(a)
+    fac = arith.factor(a)
     n_cop = arith.coprime_count_up_to(d * a, a, factored=fac)
     phi = arith.phi_of(fac)
 
@@ -248,14 +268,14 @@ def _delta_iv(d, a, s, factored=None):
     return build
 
 
-def delta_exceeds(d, a: int, s, threshold, factored: arith.FactoredInteger = None) -> bool:
+def delta_exceeds(d, a: int, s, threshold) -> bool:
     """Guarded verdict for delta(d, a, s) > threshold (threshold exact as Fraction)."""
     thr = Fraction(threshold)
     # _delta_iv counts coprimes when built, so build it only if the guard escalates
     return guarded_strictly_greater(
-        delta(d, a, s, factored=factored),
+        delta(d, a, s),
         float(thr),
-        lambda iv: _delta_iv(d, a, s, factored=factored)(iv),
+        lambda iv: _delta_iv(d, a, s)(iv),
         lambda iv: _iv_frac(iv, thr),
     )
 

@@ -38,17 +38,18 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _emit_records(records, fmt, path):
-    """Write records as "csv" (verify.CSV_HEADER, then one row each) or "jsonl" to path (stdout when None)."""
+_WRITE_ROWS = 1 << 16  # lines built and written at a time
+
+
+def _emit_records(cols, fmt, path):
+    """Write record columns as "csv" (verify.CSV_HEADER, then one row each) or "jsonl" to path (stdout when None)."""
+    lines = verify.csv_lines if fmt == "csv" else verify.json_lines
     fh, close = _open_out(path)
     try:
         if fmt == "csv":
             fh.write(verify.CSV_HEADER + "\n")
-            for rec in records:
-                fh.write(verify.record_to_csv(rec) + "\n")
-        else:
-            for rec in records:
-                fh.write(verify.record_to_json(rec) + "\n")
+        for i in range(0, len(cols.a), _WRITE_ROWS):
+            fh.write("\n".join(lines(cols.take(slice(i, i + _WRITE_ROWS)))) + "\n")
     finally:
         if close:
             fh.close()
@@ -75,8 +76,7 @@ def cmd_compute(args) -> int:
             ratio = "n/a" if r.ratio_to_pi_s is None else format(r.ratio_to_pi_s, ".6g")
             print(f"pair={pair} s={pair.s} pi_star={r.pi_star} pi_s={r.pi_s} ratio={ratio} method={r.method}")
     else:
-        rec = verify.evaluate_pair(args.a, args.b, pair.s, r0.pi_star, r0.pi_s)
-        _emit_records([rec], args.format, args.out)
+        _emit_records(verify.pair_columns(args.a, args.b, pair.s, r0.pi_star, r0.pi_s), args.format, args.out)
     if args.exact_margins and min(args.a, args.b) >= 3 and pair.s >= 2:
         rhs = bounds.thm2_rhs(min(args.a, args.b), pair.s)
         holds = bounds.pi_star_exceeds_thm2_rhs(r0.pi_star, min(args.a, args.b), pair.s, rhs)
@@ -132,9 +132,9 @@ def _run_sweep(args, lo, hi):
     )
     result = verify.sweep(cfg)
     if args.format != "table":
-        _emit_records(result.records, args.format, args.out)
+        _emit_records(result.columns, args.format, args.out)
     elif args.out:
-        _emit_records(result.records, "csv", args.out)
+        _emit_records(result.columns, "csv", args.out)
     return result
 
 
@@ -145,8 +145,8 @@ def _verify_exceptions_target(args, label) -> int:
         raise ValueError(f"{label} verification needs a >= 3")
     result = _run_sweep(args, lo, hi)
     found = result.summary.coj2_exceptions
-    grid = {(r.a, r.b) for r in result.records}
-    expected = [p for p in verify.EXPECTED_COJ2_EXCEPTIONS if p in grid]
+    cols = result.columns
+    expected = [(a, b) for a, b in verify.EXPECTED_COJ2_EXCEPTIONS if ((cols.a == a) & (cols.b == b)).any()]
     unexpected = [p for p in found if p not in expected]
     missing = [p for p in expected if p not in found]
     print(f"{label}: checked {result.summary.n_pairs} pairs, a in [{lo},{hi}]")

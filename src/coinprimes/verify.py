@@ -12,14 +12,28 @@ Claim identifiers used throughout the package and its outputs:
 
 Verdicts that compare an integer count against a log-bearing threshold are
 guarded (see bounds.guarded_strictly_greater); pure integer verdicts are exact.
+
+The sweep carries records as columns (RecordColumns), one block of b values of
+one a at a time: _verdict_columns decides every verdict of a block at once,
+csv_lines and json_lines build its output lines from one template each, and
+only a caller that reads SweepResult.records gets one VerificationRecord per
+pair. A checkpoint is reused a block of lines at a time: each line must equal,
+byte for byte, the canonical line that json_lines derives from the counts in
+its head; any other complete line is parsed and re-derived on its own
+(record_from_dict), so a valid but differently written line is still reused
+and a bad one is reported with its line number.
 """
 
+import itertools
 import json
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,32 +100,123 @@ class VerificationRecord:
     coj2_status: str
 
 
+class RecordColumns(NamedTuple):
+    """Verification records of a run of pairs, one array per field.
+
+    a, b, s, pi_star and pi_s are int64 columns (object columns of Python ints
+    where a value does not fit int64); thm2_rhs is float, nan where the
+    threshold is undefined; thm2 and thm1 are bool; coj1 is the sign of
+    2*pi_star - pi_s as int8, and coj2 follows from thm2.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    s: np.ndarray
+    pi_star: np.ndarray
+    pi_s: np.ndarray
+    thm2_rhs: np.ndarray
+    thm2: np.ndarray
+    thm1: np.ndarray
+    coj1: np.ndarray
+
+    def take(self, index) -> "RecordColumns":
+        """The rows at index (a slice, a mask or positions), as columns."""
+        return RecordColumns(*(col[index] for col in self))
+
+    def records(self) -> list:
+        """One VerificationRecord per row."""
+        thm2 = self.thm2.tolist()
+        return list(
+            map(
+                VerificationRecord,
+                self.a.tolist(),
+                self.b.tolist(),
+                self.s.tolist(),
+                self.pi_star.tolist(),
+                self.pi_s.tolist(),
+                self.thm2_rhs.tolist(),
+                thm2,
+                self.thm1.tolist(),
+                [_COJ1_BY_SIGN[k + 1] for k in self.coj1.tolist()],
+                [COJ2_HOLDS if h else COJ2_EXCEPTION for h in thm2],
+            )
+        )
+
+
+_COJ1_BY_SIGN = (COJ1_FAIL, COJ1_EQUALITY, COJ1_STRICT)  # by sign(2*pi_star - pi_s) + 1
+
+
+def _int_column(values) -> np.ndarray:
+    """An int64 column of Python ints, or an object column when one of them does not fit int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _concat(blocks) -> RecordColumns:
+    if not blocks:
+        return _verdict_columns(*(np.zeros(0, dtype=np.int64),) * 5)
+    return RecordColumns(*map(np.concatenate, zip(*blocks)))
+
+
 # ----------------------------------------------------------------------
 # record serialization (canonical outputs carry ms = 0 so runs are replayable)
 
+# the fields after thm2_rhs, thm2, thm1, coj1, coj2 and ms, indexed as _tails indexes them
+_CSV_TAILS = tuple(
+    f"{str(h2).lower()},{str(h1).lower()},{c1},{COJ2_HOLDS if h2 else COJ2_EXCEPTION},0"
+    for h2 in (False, True)
+    for h1 in (False, True)
+    for c1 in _COJ1_BY_SIGN
+)
+_JSON_TAILS = tuple(
+    f'"thm2": {str(h2).lower()}, "thm1": {str(h1).lower()}, "coj1": "{c1}", '
+    f'"coj2": "{COJ2_HOLDS if h2 else COJ2_EXCEPTION}", "ms": 0}}'
+    for h2 in (False, True)
+    for h1 in (False, True)
+    for c1 in _COJ1_BY_SIGN
+)
+_CSV_LINE = "%d,%d,%d,%d,%d,%.6g,%s"
+_JSON_LINE = '{"schema": %d, "a": %%d, "b": %%d, "s": %%d, "pi_star": %%d, "pi_s": %%d, "thm2_rhs": %%s, %%s' % SCHEMA_VERSION
 
-def _fmt_real(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".6g")
+
+def _tails(cols: RecordColumns, table) -> list:
+    index = cols.thm2 * 6 + cols.thm1 * 3 + cols.coj1 + 1
+    return list(map(table.__getitem__, index.tolist()))
+
+
+def _lines(template: str, cols: RecordColumns, rhs: list, tails: list) -> list:
+    ints = (col.tolist() for col in (cols.a, cols.b, cols.s, cols.pi_star, cols.pi_s))
+    return list(map(template.__mod__, zip(*ints, rhs, tails)))
+
+
+def csv_lines(cols: RecordColumns) -> list:
+    """One CSV row per record, in CSV_HEADER's columns, without newlines; nan prints as nan."""
+    return _lines(_CSV_LINE, cols, cols.thm2_rhs.tolist(), _tails(cols, _CSV_TAILS))
+
+
+def json_lines(cols: RecordColumns) -> list:
+    """json.dumps(record_to_dict(rec)) for each record, byte for byte, without newlines."""
+    rhs = cols.thm2_rhs.tolist()  # %s of a float is its repr, as json.dumps writes it
+    for i in np.flatnonzero(np.isnan(cols.thm2_rhs)).tolist():
+        rhs[i] = "null"
+    return _lines(_JSON_LINE, cols, rhs, _tails(cols, _JSON_TAILS))
+
+
+def _record_row(rec: VerificationRecord) -> RecordColumns:
+    """The one-row columns of a record; coj2 follows from thm2_holds, as evaluate_pair sets it."""
+    return RecordColumns(
+        *(_int_column([x]) for x in (rec.a, rec.b, rec.s, rec.pi_star, rec.pi_s)),
+        np.array([rec.thm2_rhs], dtype=float),
+        np.array([rec.thm2_holds]),
+        np.array([rec.thm1_holds]),
+        np.array([_COJ1_BY_SIGN.index(rec.coj1_status) - 1], dtype=np.int8),
+    )
 
 
 def record_to_csv(rec: VerificationRecord) -> str:
-    return ",".join(
-        (
-            str(rec.a),
-            str(rec.b),
-            str(rec.s),
-            str(rec.pi_star),
-            str(rec.pi_s),
-            _fmt_real(rec.thm2_rhs),
-            str(rec.thm2_holds).lower(),
-            str(rec.thm1_holds).lower(),
-            rec.coj1_status,
-            rec.coj2_status,
-            "0",
-        )
-    )
+    return csv_lines(_record_row(rec))[0]
 
 
 def record_to_dict(rec: VerificationRecord) -> dict:
@@ -133,13 +238,7 @@ def record_to_dict(rec: VerificationRecord) -> dict:
 
 def record_to_json(rec: VerificationRecord) -> str:
     """json.dumps(record_to_dict(rec)), byte for byte, without building the dict."""
-    rhs = "null" if math.isnan(rec.thm2_rhs) else repr(rec.thm2_rhs)
-    return (
-        f'{{"schema": {SCHEMA_VERSION}, "a": {rec.a}, "b": {rec.b}, "s": {rec.s}, '
-        f'"pi_star": {rec.pi_star}, "pi_s": {rec.pi_s}, "thm2_rhs": {rhs}, '
-        f'"thm2": {"true" if rec.thm2_holds else "false"}, "thm1": {"true" if rec.thm1_holds else "false"}, '
-        f'"coj1": "{rec.coj1_status}", "coj2": "{rec.coj2_status}", "ms": 0}}'
-    )
+    return json_lines(_record_row(rec))[0]
 
 
 def record_from_dict(obj) -> VerificationRecord:
@@ -200,58 +299,129 @@ def _trim_torn_tail(path: str):
             fh.truncate(cut)
 
 
-def load_checkpoint(path: str) -> dict:
-    """Completed records keyed by (a, b).
+# the head of a canonical checkpoint line, up to thm2_rhs. The digit limits keep a, b, s = ab - a - b
+# and the counts inside int64. When a block holds as many heads as lines, the k-th head is taken as line
+# k's, else each line is matched on its own; the byte comparison of each line with the line derived from
+# its head catches a head taken from elsewhere, and a line with larger values, or without a head, is
+# read the general way.
+_CANONICAL_HEAD = re.compile(
+    rb'\{"schema": 1, "a": (\d{1,9}), "b": (\d{1,9}), "s": \d+, "pi_star": (\d{1,18}), "pi_s": (\d{1,18}), '
+)
+_NO_HEAD = (b"0",) * 4  # stands in for a line without a head; no such line equals the line derived from it
+_READ_HINT = 1 << 20  # bytes of complete lines per block
+
+
+def _decode_line(i: int, line: bytes) -> VerificationRecord:
+    """The record of checkpoint line i, parsed and re-derived on its own."""
+    try:
+        obj = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise CheckpointCorrupt(f"line {i}: invalid UTF-8") from None
+    except json.JSONDecodeError as e:
+        raise CheckpointCorrupt(f"line {i}: invalid JSON ({e.msg})") from None
+    except (ValueError, RecursionError) as e:
+        # too deeply nested, or an integer past Python's digit limit
+        raise CheckpointCorrupt(f"line {i}: unreadable JSON ({e})") from None
+    return record_from_dict(obj)
+
+
+def _checkpoint_block(lines: list, first: int) -> RecordColumns:
+    """Records of the complete checkpoint lines numbered first, first + 1, ..., in file order.
+
+    A line is taken as it is when it equals, byte for byte, the canonical line
+    of the counts in its head, with pi_star <= pi_s; every other line goes
+    through _decode_line, in file order, so it is accepted or rejected, with
+    its message, exactly as if every line were parsed.
+    """
+    data = b"".join(lines)
+    heads = _CANONICAL_HEAD.findall(data)
+    if len(heads) != len(lines):  # a line without a head, or with two: take each line's own
+        heads = [m.groups() if (m := _CANONICAL_HEAD.match(line)) else _NO_HEAD for line in lines]
+    digits = b" ".join(itertools.chain.from_iterable(heads))
+    a, b, pi_star, pi_s = np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 4).T
+    cols = _verdict_columns(a, b, a * b - a - b, pi_star, pi_s)
+    derived = ("\n".join(json_lines(cols)) + "\n").encode()
+    ordered = pi_star <= pi_s
+    if derived == data and ordered.all():
+        return cols
+    rows = []
+    for k, (line, want, ok) in enumerate(zip(lines, derived.splitlines(True), ordered.tolist())):
+        if line == want and ok:
+            rows.append(tuple(int(col[k]) for col in cols[:5]))
+        else:
+            rec = _decode_line(first + k, line)
+            rows.append((rec.a, rec.b, rec.s, rec.pi_star, rec.pi_s))
+    return _verdict_columns(*(_int_column(list(col)) for col in zip(*rows)))
+
+
+def _sorted_unique(cols: RecordColumns) -> RecordColumns:
+    """cols in (a, b) order; of rows with equal (a, b) the last one is kept, as a dict keyed by (a, b) keeps it."""
+    cols = cols.take(np.lexsort((cols.b, cols.a)))
+    last = np.ones(len(cols.a), dtype=bool)
+    last[:-1] = (cols.a[1:] != cols.a[:-1]) | (cols.b[1:] != cols.b[:-1])
+    return cols.take(last)
+
+
+def load_checkpoint(path: str, columns: bool = False):
+    """Completed records keyed by (a, b); with columns=True, the same records as RecordColumns in (a, b) order.
 
     A final line without a terminating newline is an interrupted append; the
     pair is simply recomputed. Any complete line that fails to decode, parse
     or validate, or whose s and verdicts do not re-derive from its counts,
-    raises CheckpointCorrupt.
+    raises CheckpointCorrupt. Lines are read a block at a time, and a block of
+    canonical lines is checked by one byte comparison (_checkpoint_block).
     """
-    if not os.path.exists(path):
-        return {}
-    out = {}
-    with open(path, "rb") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.endswith(b"\n"):
-                break
-            try:
-                obj = json.loads(line.decode("utf-8"))
-            except UnicodeDecodeError:
-                raise CheckpointCorrupt(f"line {i}: invalid UTF-8") from None
-            except json.JSONDecodeError as e:
-                raise CheckpointCorrupt(f"line {i}: invalid JSON ({e.msg})") from None
-            except (ValueError, RecursionError) as e:
-                # too deeply nested, or an integer past Python's digit limit
-                raise CheckpointCorrupt(f"line {i}: unreadable JSON ({e})") from None
-            rec = record_from_dict(obj)
-            out[(rec.a, rec.b)] = rec
-    return out
+    blocks = []
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            n_read = 0
+            while lines := fh.readlines(_READ_HINT):
+                if not lines[-1].endswith(b"\n"):
+                    lines.pop()  # only the last line of the file can lack its newline
+                if lines:
+                    blocks.append(_checkpoint_block(lines, n_read + 1))
+                    n_read += len(lines)
+    rows = _concat(blocks)
+    if columns:
+        return _sorted_unique(rows)
+    return {(rec.a, rec.b): rec for rec in rows.records()}
 
 
 # ----------------------------------------------------------------------
 # per-pair evaluation
 
 
+def _verdict_columns(a, b, s, pi_star, pi_s) -> RecordColumns:
+    """Every verdict of the pairs (a_i, b_i) from their counts, over integer columns of one length.
+
+    Rows with min(a, b) >= 3 and s >= 2 get thm2_rhs = bounds.thm2_rhs_column
+    (row for row the scalar bounds.thm2_rhs) and the guarded thm2 verdict;
+    the rest get nan and a vacuously true thm2. thm1 and coj1 are exact
+    integer comparisons with no intermediate past int64: 100 pi_star >= 4 pi_s
+    iff pi_star >= ceil(pi_s / 25), and 2 pi_star - pi_s has the sign of
+    pi_star - pi_s / 2.
+    """
+    amin = np.minimum(a, b)
+    defined = (amin >= 3) & (s >= 2)
+    rhs = np.full(len(a), np.nan)
+    thm2 = np.ones(len(a), dtype=bool)
+    am, sd, psd = amin[defined], s[defined], pi_star[defined]
+    rhs[defined] = bounds.thm2_rhs_column(am, sd)
+    thm2[defined] = bounds.pi_star_exceeds_thm2_rhs_column(psd, am, sd, rhs[defined])
+    thm1 = pi_star >= pi_s // 25 + (pi_s % 25 != 0)
+    half = pi_s // 2
+    coj1 = np.where(pi_star > half, 1, np.where((pi_star == half) & (pi_s % 2 == 0), 0, -1)).astype(np.int8)
+    return RecordColumns(a, b, s, pi_star, pi_s, rhs, thm2, thm1, coj1)
+
+
+def pair_columns(a: int, b: int, s: int, pi_star: int, pi_s: int) -> RecordColumns:
+    """The one-row RecordColumns of a pair's counts; integers past int64 are evaluated exactly too."""
+    return _verdict_columns(*(_int_column([x]) for x in (a, b, s, pi_star, pi_s)))
+
+
 def evaluate_pair(a: int, b: int, s: int, pi_star: int, pi_s: int) -> VerificationRecord:
-    """Assemble all verdicts from the computed counts."""
-    amin = a if a <= b else b
-    if amin >= 3 and s >= 2:
-        rhs = bounds.thm2_rhs(amin, s)
-        holds = bounds.pi_star_exceeds_thm2_rhs(pi_star, amin, s, rhs)
-    else:
-        rhs = math.nan
-        holds = True  # threshold undefined; treated as vacuously holding
-    thm1 = 100 * pi_star >= 4 * pi_s
-    diff = 2 * pi_star - pi_s
-    if diff > 0:
-        coj1 = COJ1_STRICT
-    elif diff == 0:
-        coj1 = COJ1_EQUALITY
-    else:
-        coj1 = COJ1_FAIL
-    coj2 = COJ2_HOLDS if holds else COJ2_EXCEPTION
-    return VerificationRecord(a, b, s, pi_star, pi_s, rhs, holds, thm1, coj1, coj2)
+    """Assemble all verdicts from the computed counts: the one-row call of _verdict_columns."""
+    return pair_columns(a, b, s, pi_star, pi_s).records()[0]
 
 
 def _cross_check(pair, pi_star: int, pi_s: int, brute_cap: int):
@@ -273,7 +443,7 @@ def _cross_check(pair, pi_star: int, pi_s: int, brute_cap: int):
 def check_pair(a: int, b: int, cross_check: bool = False, brute_cap: int = pistar.BRUTE_FORCE_CAP) -> VerificationRecord:
     """Full verdict record for one pair, the one-b case of the sweep; optionally cross-checked."""
     new_pair(a, b)  # NotCoprime or ValueError before any prime table is built
-    return _sweep_chunk(a, [b], cross_check, brute_cap)[0]
+    return _sweep_chunk(a, [b], cross_check, brute_cap).records()[0]
 
 
 # ----------------------------------------------------------------------
@@ -303,8 +473,9 @@ def b_limit(rule: str, a: int, b_max: int = None) -> int:
     raise ValueError(f"unknown b rule {rule!r}")
 
 
-def _coprime_bs(a: int, lo: int, hi: int) -> list:
-    return [b for b in range(lo, hi + 1) if math.gcd(a, b) == 1]
+def _coprime_bs(a: int, lo: int, hi: int) -> np.ndarray:
+    bs = np.arange(lo, hi + 1, dtype=np.int64)
+    return bs[np.gcd(bs, a) == 1]
 
 
 # (b, v) queries per block of iter_pair_stats: a block holds _MAX_QUERIES // (a-1)
@@ -497,7 +668,7 @@ def reproduce_thm1_cases(case_id: int, case1_samples: int = 200) -> Thm1CaseRepo
         n_pairs = 0
         for a in range(16, 181):
             # at most 985 b values: one call of the kernel
-            bs = np.array(_coprime_bs(a, a + 1, 1000), dtype=np.int64)
+            bs = _coprime_bs(a, a + 1, 1000)
             s = a * bs - a - bs
             pi_s = np.searchsorted(primelib.primes_array(int(s.max())), s, side="right")
             low_gaps = pistar.gap_prime_counts(a, bs, s // 20 + 1)
@@ -543,10 +714,15 @@ class SweepSummary:
     thm1_failures: list
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    records: list
+    columns: RecordColumns  # every record of the grid, in (a, b) order
     summary: SweepSummary
+
+    @cached_property
+    def records(self) -> list:
+        """The VerificationRecord of each pair in (a, b) order, built on first access."""
+        return self.columns.records()
 
 
 def grid_pairs(cfg: SweepConfig) -> dict:
@@ -555,51 +731,54 @@ def grid_pairs(cfg: SweepConfig) -> dict:
     for a in range(cfg.a_min, cfg.a_max + 1):
         hi = b_limit(cfg.b_rule, a, cfg.b_max)
         bs = _coprime_bs(a, a + 1, hi)
-        if bs:
+        if bs.size:
             out[a] = bs
     return out
 
 
-def _sweep_chunk(a, bs, cross_check, brute_cap):
-    out = []
-    for b, s, ps, pis in iter_pair_stats(a, bs):
-        if cross_check:
+def _sweep_chunk(a, bs, cross_check, brute_cap) -> RecordColumns:
+    # the counts pass through iter_pair_stats one pair at a time, so a wrapper of it (the traced pass
+    # of perfbench) sees every computed pair
+    rows = np.fromiter(itertools.chain.from_iterable(iter_pair_stats(a, bs)), dtype=np.int64).reshape(-1, 4)
+    if cross_check:
+        for b, _, ps, pis in rows.tolist():
             _cross_check(new_pair(a, b), ps, pis, brute_cap)
-        out.append(evaluate_pair(a, b, s, ps, pis))
-    return out
+    b, s, pi_star, pi_s = rows.T.copy()
+    return _verdict_columns(np.full_like(b, a), b, s, pi_star, pi_s)
 
 
-def _summarize(records) -> SweepSummary:
+def _summarize(cols: RecordColumns) -> SweepSummary:
+    def pairs(mask):
+        return list(zip(cols.a[mask].tolist(), cols.b[mask].tolist()))
+
     return SweepSummary(
-        n_pairs=len(records),
-        coj2_exceptions=[(r.a, r.b) for r in records if r.coj2_status == COJ2_EXCEPTION],
-        coj1_equalities=[(r.a, r.b) for r in records if r.coj1_status == COJ1_EQUALITY],
-        coj1_failures=[(r.a, r.b) for r in records if r.coj1_status == COJ1_FAIL],
-        thm1_failures=[(r.a, r.b) for r in records if not r.thm1_holds],
+        n_pairs=len(cols.a),
+        coj2_exceptions=pairs(~cols.thm2),
+        coj1_equalities=pairs(cols.coj1 == 0),
+        coj1_failures=pairs(cols.coj1 < 0),
+        thm1_failures=pairs(~cols.thm1),
     )
 
 
 def sweep(cfg: SweepConfig) -> SweepResult:
-    """Run the grid, appending finished pairs to the checkpoint as they land.
+    """Run the grid, appending finished blocks to the checkpoint as they land.
 
     Output order is deterministic: records are sorted by (a, b) regardless of
-    worker count or resume state. Checkpointed pairs are reused, not recomputed.
+    worker count or resume state. Checkpointed pairs are reused, not recomputed;
+    reused and new blocks are merged one a at a time.
     """
     grid = grid_pairs(cfg)
-    done = load_checkpoint(cfg.checkpoint_path) if cfg.checkpoint_path else {}
-    reused = []
+    done = load_checkpoint(cfg.checkpoint_path, columns=True) if cfg.checkpoint_path else _concat([])
+    blocks = {}  # a -> reused and new RecordColumns
     tasks = []
     for a, bs in grid.items():
-        pending = []
-        for b in bs:
-            if (a, b) in done:
-                reused.append(done[(a, b)])
-            else:
-                pending.append(b)
-        for i in range(0, len(pending), _CHUNK):
+        lo, hi = np.searchsorted(done.a, [a, a + 1])
+        old = done.take(slice(lo, hi))
+        blocks[a] = [old.take(np.isin(old.b, bs))]
+        pending = bs[~np.isin(bs, old.b)]
+        for i in range(0, pending.size, _CHUNK):
             tasks.append((a, pending[i : i + _CHUNK]))
 
-    new_records = []
     if cfg.checkpoint_path:
         _trim_torn_tail(cfg.checkpoint_path)
         ckpt = open(cfg.checkpoint_path, "a", encoding="utf-8")
@@ -607,10 +786,10 @@ def sweep(cfg: SweepConfig) -> SweepResult:
         ckpt = None
     try:
 
-        def emit(chunk_records):
-            new_records.extend(chunk_records)
+        def emit(block):
+            blocks[int(block.a[0])].append(block)
             if ckpt is not None:
-                ckpt.write("".join(record_to_json(rec) + "\n" for rec in chunk_records))
+                ckpt.write("\n".join(json_lines(block)) + "\n")
                 ckpt.flush()
 
         # the pool forks all of its processes at the first submit: never more than there is work and cpus for
@@ -629,5 +808,9 @@ def sweep(cfg: SweepConfig) -> SweepResult:
         if ckpt is not None:
             ckpt.close()
 
-    records = sorted(reused + new_records, key=lambda r: (r.a, r.b))
-    return SweepResult(records, _summarize(records))
+    rows = []
+    for parts in blocks.values():
+        merged = _concat(parts)
+        rows.append(merged.take(np.argsort(merged.b, kind="stable")))
+    cols = _concat(rows)
+    return SweepResult(cols, _summarize(cols))

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -146,6 +150,35 @@ def test_grid_csv_digest(tmp_path, capsys):
     assert rc == 0
     want = "b3f367dae0575f33ea77bcc8230bd1b8e9deadb8561c646d7ff5e7ddf3adf319"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+def test_grid_resume_csv_digest(tmp_path, capsys):
+    """The same grid resumed from a 90% checkpoint whose last line is torn: the same bytes."""
+    ck = tmp_path / "ck.jsonl"
+    fresh = tmp_path / "fresh.csv"
+    argv = ("verify", "coj2", "--a-range", "3:20", "--resume", str(ck), "--format", "csv", "--out")
+    assert run(capsys, *argv, str(fresh))[0] == 0
+    lines = ck.read_text().splitlines(keepends=True)
+    assert hashlib.sha256("".join(sorted(lines)).encode()).hexdigest() == (
+        "75602f6aea551d6653c738c919321f9112f4a28c2bacd48f0034d6d30b959d79"
+    )
+    keep = set(random.Random(9).sample(range(len(lines)), round(0.9 * len(lines))))
+    torn = next(line for i, line in enumerate(lines) if i not in keep)
+    ck.write_text("".join(line for i, line in enumerate(lines) if i in keep) + torn[: len(torn) // 2])
+    resumed = tmp_path / "resumed.csv"
+    assert run(capsys, *argv, str(resumed))[0] == 0
+    want = "b3f367dae0575f33ea77bcc8230bd1b8e9deadb8561c646d7ff5e7ddf3adf319"
+    assert hashlib.sha256(resumed.read_bytes()).hexdigest() == want
+    assert len(ck.read_text().splitlines()) == len(lines)
+
+
+def test_import_leaves_mpmath_unloaded():
+    """mpmath is imported only when a guard escalates to intervals, not by importing the package."""
+    src = os.path.dirname(os.path.dirname(coinprimes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, coinprimes, coinprimes.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_csv_out_threads_identical(tmp_path, capsys):

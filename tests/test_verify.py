@@ -1,15 +1,90 @@
 import json
 import math
+import struct
 from concurrent.futures import Future
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coinprimes import pistar, verify
+from coinprimes import bounds, pistar, verify
 from coinprimes.errors import CheckpointCorrupt, DomainError
 from coinprimes.semigroup import new_pair
+
+
+def _evaluate_pair_oracle(a, b, s, pi_star, pi_s):
+    """The scalar evaluator the column one replaced: Python ints, bounds.thm2_rhs, one guard call per pair."""
+    amin = a if a <= b else b
+    if amin >= 3 and s >= 2:
+        rhs = bounds.thm2_rhs(amin, s)
+        holds = bounds.pi_star_exceeds_thm2_rhs(pi_star, amin, s, rhs)
+    else:
+        rhs = math.nan
+        holds = True
+    thm1 = 100 * pi_star >= 4 * pi_s
+    diff = 2 * pi_star - pi_s
+    coj1 = verify.COJ1_STRICT if diff > 0 else verify.COJ1_EQUALITY if diff == 0 else verify.COJ1_FAIL
+    coj2 = verify.COJ2_HOLDS if holds else verify.COJ2_EXCEPTION
+    return verify.VerificationRecord(a, b, s, pi_star, pi_s, rhs, holds, thm1, coj1, coj2)
+
+
+def _fields(rec):
+    """Every field of a record, with thm2_rhs as its bit pattern so that nan compares equal to nan."""
+    return (*(getattr(rec, k) for k in ("a", "b", "s", "pi_star", "pi_s")), struct.pack("<d", rec.thm2_rhs),
+            rec.thm2_holds, rec.thm1_holds, rec.coj1_status, rec.coj2_status)
+
+
+_I64 = 2**63 - 1
+
+
+@st.composite
+def _count_rows(draw):
+    """(a, b, s, pi_star, pi_s): small a and b, b < a, s < 2, pi_star next to the thm2 threshold, counts near int64's edge."""
+    a = draw(st.one_of(st.integers(1, 3), st.integers(1, 5000), st.integers(1, _I64)))
+    b = draw(st.one_of(st.integers(1, 3), st.integers(1, 10**6), st.integers(1, _I64)))
+    s = draw(st.one_of(st.integers(-(2**40), 3), st.integers(2, 10**9), st.integers(2, _I64)))
+    pi_s = draw(st.one_of(st.integers(0, 200), st.integers(0, _I64)))
+    amin = min(a, b)
+    if amin >= 3 and s >= 2 and draw(st.booleans()):
+        pi_star = max(0, int(bounds.thm2_rhs(amin, s)) + draw(st.integers(-1, 2)))
+    else:
+        pi_star = draw(st.one_of(st.integers(0, pi_s), st.just(pi_s // 2), st.just(-(-pi_s // 25)), st.integers(0, _I64)))
+    return a, b, s, pi_star, pi_s
+
+
+@pytest.mark.parametrize("rel_guard", [bounds.REL_GUARD, 1.0], ids=["guard", "every-row-escalates"])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_count_rows(), max_size=12))
+@example([(3, 5, 7, 2, 4), (2, 5, 3, 1, 2), (1, 9, -1, 0, 0), (5, 3, 7, 2, 4), (7, 30, 173, 1, 40), (5, 7, 23, 5, 9)])
+@example([(3, 10**6, 2 * 10**6 - 3, 0, 0), (4, 4, 1, 0, 0), (_I64, _I64, _I64, _I64, _I64), (3, 3, 2, 0, _I64)])
+def test_verdict_columns_match_the_scalar_oracle(rel_guard, rows):
+    """Every field of every row equals the scalar evaluator's; with REL_GUARD = 1 every row escalates to intervals."""
+    want = [_fields(_evaluate_pair_oracle(*row)) for row in rows]
+    cols = [np.array(col, dtype=np.int64) for col in zip(*rows)] or [np.zeros(0, dtype=np.int64)] * 5
+    with mock.patch.object(bounds, "REL_GUARD", rel_guard):
+        got = [_fields(rec) for rec in verify._verdict_columns(*cols).records()]
+        one_row = [_fields(verify.evaluate_pair(*row)) for row in rows]
+    assert got == want
+    assert one_row == want
+
+
+def test_evaluate_pair_past_int64_is_exact():
+    """Counts past int64 take object columns and Python's int and float rules, as the scalar evaluator does."""
+    a, b = 2**40, 2**40 + 1
+    for row in [(a, b, a * b - a - b, 10**20, 10**21), (3, 2**64, 2 * 2**64 - 3, 2**63, 2**64 + 1), (3, 4, 5, 2**70, 2**71)]:
+        assert _fields(verify.evaluate_pair(*row)) == _fields(_evaluate_pair_oracle(*row))
+    with pytest.raises(OverflowError):
+        verify.evaluate_pair(10**200, 10**200 + 1, 10**400 - 2 * 10**200 - 1, 2, 4)
+
+
+@pytest.mark.parametrize("a,b", [(5, 3), (7, 2), (2, 9), (1, 4), (4, 1), (9, 4), (1, 1)])
+def test_check_pair_small_and_reversed_pairs_match_the_oracle(a, b):
+    """check_pair allows b < a and a in {1, 2}: amin = min(a, b) decides whether thm2 applies."""
+    r = pistar.pi_star_fast(new_pair(a, b))
+    want = _evaluate_pair_oracle(a, b, r.pair.s, r.pi_star, r.pi_s)
+    assert _fields(verify.check_pair(a, b)) == _fields(want)
 
 
 def test_evaluate_pair_known_exception():
@@ -184,6 +259,20 @@ def test_record_to_json_matches_json_dumps():
     assert any(math.isnan(r.thm2_rhs) for r in recs) and not all(r.thm1_holds for r in recs)
     for rec in recs:
         assert verify.record_to_json(rec) == json.dumps(verify.record_to_dict(rec))
+    pinned = [
+        ("3,5,7,2,4,2.69797,false,true,equality,exception,0", "2.6979662974411913", "false", "true", "equality", "exception"),
+        ("5,7,23,5,9,4.5846,true,true,strict,holds,0", "4.584604215492139", "true", "true", "strict", "holds"),
+        ("3,5,7,1,4,2.69797,false,true,fail,exception,0", "2.6979662974411913", "false", "true", "fail", "exception"),
+        ("7,30,173,1,40,19.583,false,false,fail,exception,0", "19.582952917784898", "false", "false", "fail", "exception"),
+        ("2,5,3,1,2,nan,true,true,equality,holds,0", "null", "true", "true", "equality", "holds"),
+        ("1,9,-1,0,0,nan,true,true,equality,holds,0", "null", "true", "true", "equality", "holds"),
+    ]
+    for rec, (csv, rhs, thm2, thm1, coj1, coj2) in zip(recs, pinned):
+        assert verify.record_to_csv(rec) == csv
+        assert verify.record_to_json(rec) == (
+            f'{{"schema": 1, "a": {rec.a}, "b": {rec.b}, "s": {rec.s}, "pi_star": {rec.pi_star}, "pi_s": {rec.pi_s}, '
+            f'"thm2_rhs": {rhs}, "thm2": {thm2}, "thm1": {thm1}, "coj1": "{coj1}", "coj2": "{coj2}", "ms": 0}}'
+        )
 
 
 def test_record_from_dict_rederives():
@@ -276,6 +365,78 @@ def test_load_checkpoint_corrupt_line(tmp_path):
     with pytest.raises(CheckpointCorrupt):
         verify.load_checkpoint(str(path))
     assert verify.load_checkpoint(str(tmp_path / "missing.jsonl")) == {}
+
+
+def _variant_lines(recs):
+    """The records' checkpoint lines, written four valid ways in turn: canonical, ms 17, keys reversed, compact."""
+    out = []
+    for i, rec in enumerate(recs):
+        d = verify.record_to_dict(rec)
+        out.append(
+            [
+                verify.record_to_json(rec),
+                json.dumps(dict(d, ms=17)),
+                json.dumps(dict(reversed(list(d.items())))),
+                json.dumps(d, separators=(",", ":")),
+            ][i % 4]
+            + "\n"
+        )
+    return out
+
+
+@pytest.mark.parametrize("read_hint", [verify._READ_HINT, 700])
+def test_load_checkpoint_reuses_valid_noncanonical_lines(tmp_path, monkeypatch, read_hint):
+    """Lines that differ from the canonical bytes but are valid records are reused, with the same records."""
+    monkeypatch.setattr(verify, "_READ_HINT", read_hint)
+    recs = verify.sweep(_small_cfg(a_min=2)).records
+    a, b = 2**40, 2**40 + 1
+    big = verify.evaluate_pair(a, b, a * b - a - b, 10**20, 10**21)  # valid, past int64
+    dup = verify.evaluate_pair(3, 4, 5, 1, 3)  # an earlier line for a pair whose last line wins
+    path = tmp_path / "ck.jsonl"
+    path.write_text(verify.record_to_json(dup) + "\n" + "".join(_variant_lines(recs)) + verify.record_to_json(big) + "\n")
+    want = [_fields(rec) for rec in recs + [big]]  # (a, b) order; the later line for (3, 4) wins
+    loaded = verify.load_checkpoint(str(path))
+    assert sorted(_fields(rec) for rec in loaded.values()) == want
+    assert [_fields(rec) for rec in verify.load_checkpoint(str(path), columns=True).records()] == want
+    # all of them reused: the resumed sweep appends nothing and returns the fresh records
+    before = path.read_bytes()
+    resumed = verify.sweep(_small_cfg(a_min=2, checkpoint_path=str(path))).records
+    assert [_fields(rec) for rec in resumed] == want[:-1]
+    assert path.read_bytes() == before
+
+
+# (payload after 1,000 good lines, the message the line-by-line parse gives for it)
+_BAD_AFTER_GOOD = [
+    (b"garbage\n", "line 1001: invalid JSON (Expecting value)"),
+    (b'\xff\xfe{"schema": 1}\n', "line 1001: invalid UTF-8"),
+    ({"pi_star": 70}, "(7,30): counts pi_star = 70, pi_s = 40 out of order"),
+    # canonical bytes whose verdicts are those of its counts, but the counts are out of order
+    (
+        verify.record_to_json(verify.evaluate_pair(7, 30, 173, 41, 40)).encode() + b"\n",
+        "(7,30): counts pi_star = 41, pi_s = 40 out of order",
+    ),
+    ({"thm2": True}, "(7,30): fields ['thm2'] disagree with the counts"),
+    ({"s": 174}, "(7,30): s = 174 is not a*b - a - b"),
+    ({"extra": 1}, "unknown fields: ['extra']"),
+    (b"9" * 5000 + b"\n", "line 1001: unreadable JSON (Exceeds the limit (4300 digits) for integer string "
+     "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit)"),
+]
+
+
+@pytest.mark.parametrize("read_hint", [verify._READ_HINT, 4096])
+@pytest.mark.parametrize("payload,message", _BAD_AFTER_GOOD, ids=range(len(_BAD_AFTER_GOOD)))
+def test_bad_line_after_good_lines_keeps_its_message(tmp_path, monkeypatch, read_hint, payload, message):
+    monkeypatch.setattr(verify, "_READ_HINT", read_hint)
+    good = [verify.record_to_json(verify.evaluate_pair(3, b, 2 * b - 3, 0, 0)) + "\n" for b in range(4, 4000) if b % 3]
+    if isinstance(payload, dict):  # a line in the canonical form whose counts or fields are wrong
+        rec = verify.record_to_dict(verify.evaluate_pair(7, 30, 173, 1, 40))
+        payload = (json.dumps(dict(rec, **payload)) + "\n").encode()
+    path = tmp_path / "ck.jsonl"
+    path.write_bytes("".join(good[:1000]).encode() + payload + "".join(good[1000:1010]).encode())
+    for columns in (False, True):
+        with pytest.raises(CheckpointCorrupt) as err:
+            verify.load_checkpoint(str(path), columns=columns)
+        assert str(err.value) == message
 
 
 def _small_cfg(**kw):
