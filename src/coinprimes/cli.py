@@ -38,9 +38,6 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-_WRITE_ROWS = 1 << 16  # lines built and written at a time
-
-
 def _emit_records(cols, fmt, path):
     """Write record columns as "csv" (verify.CSV_HEADER, then one row each) or "jsonl" to path (stdout when None)."""
     lines = verify.csv_lines if fmt == "csv" else verify.json_lines
@@ -48,8 +45,8 @@ def _emit_records(cols, fmt, path):
     try:
         if fmt == "csv":
             fh.write(verify.CSV_HEADER + "\n")
-        for i in range(0, len(cols.a), _WRITE_ROWS):
-            fh.write("\n".join(lines(cols.take(slice(i, i + _WRITE_ROWS)))) + "\n")
+        for i in range(0, len(cols.a), verify.BLOCK_ROWS):
+            fh.write("\n".join(lines(cols.take(slice(i, i + verify.BLOCK_ROWS)))) + "\n")
     finally:
         if close:
             fh.close()

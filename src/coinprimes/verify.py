@@ -13,15 +13,21 @@ Claim identifiers used throughout the package and its outputs:
 Verdicts that compare an integer count against a log-bearing threshold are
 guarded (see bounds.guarded_strictly_greater); pure integer verdicts are exact.
 
-The sweep carries records as columns (RecordColumns), one block of b values of
-one a at a time: _verdict_columns decides every verdict of a block at once,
-csv_lines and json_lines build its output lines from one template each, and
-only a caller that reads SweepResult.records gets one VerificationRecord per
-pair. A checkpoint is reused a block of lines at a time: each line must equal,
-byte for byte, the canonical line that json_lines derives from the counts in
-its head; any other complete line is parsed and re-derived on its own
-(record_from_dict), so a valid but differently written line is still reused
-and a bad one is reported with its line number.
+Every finite scan of full counts over a grid of pairs (coj2 and thm2, the
+half-bound scans of thm3 and coj1, thm1 case 4 and the thm1 grid) is one call
+of sweep, and _summarize is the one place verdict columns become pair lists;
+thm1 case 3, which counts only the gap primes up to s/20, calls the kernel
+itself. The sweep carries records as columns (RecordColumns), BLOCK_ROWS
+values of b of one a at a time, from the kernel to the output:
+_verdict_columns decides every verdict of a block at once, csv_lines and
+json_lines build its output lines from one template each, and only a caller
+that reads SweepResult.records gets one VerificationRecord per pair. A
+checkpoint is reused a block of lines at a time: each line must equal, byte
+for byte, the canonical line that json_lines derives from the counts in its
+head; any other complete line is parsed, checked and re-derived with the
+other such lines of its block, so a valid but differently written line is
+still reused and a bad one is reported with its line number and the message
+record_from_dict gives it.
 """
 
 import itertools
@@ -72,7 +78,10 @@ CHECKPOINT_FIELDS = (
     "ms",
 )
 
-_CHUNK = 1024
+# rows per block, from kernel to output: the most b values of one sweep task, the b values of one
+# kernel block of iter_pair_stats (each block splits its prime table into the classes mod a once,
+# and the kernel's working arrays are O(rows)), and the output lines built and written at a time
+BLOCK_ROWS = 1 << 16
 
 CASE1_DELTA = Fraction(1, 10)
 CASE1_THRESHOLD = Fraction("0.0445")
@@ -197,7 +206,7 @@ def csv_lines(cols: RecordColumns) -> list:
 
 
 def json_lines(cols: RecordColumns) -> list:
-    """json.dumps(record_to_dict(rec)) for each record, byte for byte, without newlines."""
+    """The canonical checkpoint line of each record, as json.dumps writes it, without newlines."""
     rhs = cols.thm2_rhs.tolist()  # %s of a float is its repr, as json.dumps writes it
     for i in np.flatnonzero(np.isnan(cols.thm2_rhs)).tolist():
         rhs[i] = "null"
@@ -220,28 +229,17 @@ def record_to_csv(rec: VerificationRecord) -> str:
 
 
 def record_to_dict(rec: VerificationRecord) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "a": rec.a,
-        "b": rec.b,
-        "s": rec.s,
-        "pi_star": rec.pi_star,
-        "pi_s": rec.pi_s,
-        "thm2_rhs": None if math.isnan(rec.thm2_rhs) else rec.thm2_rhs,
-        "thm2": rec.thm2_holds,
-        "thm1": rec.thm1_holds,
-        "coj1": rec.coj1_status,
-        "coj2": rec.coj2_status,
-        "ms": 0,
-    }
+    """The checkpoint line of a record as a dict; thm2_rhs is None where it is nan."""
+    return json.loads(record_to_json(rec))
 
 
 def record_to_json(rec: VerificationRecord) -> str:
-    """json.dumps(record_to_dict(rec)), byte for byte, without building the dict."""
+    """The canonical checkpoint line of a record, without newline; json.dumps of record_to_dict gives it back."""
     return json_lines(_record_row(rec))[0]
 
 
-def record_from_dict(obj) -> VerificationRecord:
+def _checked_counts(obj) -> tuple:
+    """(a, b, s, pi_star, pi_s) of a checkpoint object whose fields, types and counts are plausible."""
     if not isinstance(obj, dict):
         raise CheckpointCorrupt("record is not an object")
     got = set(obj)
@@ -258,20 +256,32 @@ def record_from_dict(obj) -> VerificationRecord:
     for key in ("thm2", "thm1"):
         if not isinstance(obj[key], bool):
             raise CheckpointCorrupt(f"field {key} must be a boolean")
-    # a record is reused only if its counts are plausible and re-derive every other field
     a, b, s, pi_star, pi_s = (obj[key] for key in ("a", "b", "s", "pi_star", "pi_s"))
     if s != a * b - a - b:
         raise CheckpointCorrupt(f"({a},{b}): s = {s} is not a*b - a - b")
     if not 0 <= pi_star <= pi_s:
         raise CheckpointCorrupt(f"({a},{b}): counts pi_star = {pi_star}, pi_s = {pi_s} out of order")
+    return a, b, s, pi_star, pi_s
+
+
+def _check_derived(obj: dict, line: str):
+    """Raise CheckpointCorrupt unless obj, ms aside, equals the canonical line derived from its counts."""
+    derived = json.loads(line)  # dicts, not records, so that null == null where nan != nan
+    derived["ms"] = obj["ms"]
+    if derived != obj:
+        raise CheckpointCorrupt(
+            f"({obj['a']},{obj['b']}): fields {[k for k in obj if obj[k] != derived[k]]} disagree with the counts"
+        )
+
+
+def record_from_dict(obj) -> VerificationRecord:
+    """The record of a checkpoint object, reused only if its counts are plausible and re-derive every other field."""
+    a, b, s, pi_star, pi_s = _checked_counts(obj)
     try:
         rec = evaluate_pair(a, b, s, pi_star, pi_s)
     except (OverflowError, ValueError) as e:
         raise CheckpointCorrupt(f"({a},{b}): cannot re-derive the verdicts ({e})") from None
-    derived = record_to_dict(rec)  # dicts, not records, so that null == null where nan != nan
-    derived["ms"] = obj["ms"]
-    if derived != obj:
-        raise CheckpointCorrupt(f"({a},{b}): fields {[k for k in obj if obj[k] != derived[k]]} disagree with the counts")
+    _check_derived(obj, record_to_json(rec))
     return rec
 
 
@@ -311,10 +321,10 @@ _NO_HEAD = (b"0",) * 4  # stands in for a line without a head; no such line equa
 _READ_HINT = 1 << 20  # bytes of complete lines per block
 
 
-def _decode_line(i: int, line: bytes) -> VerificationRecord:
-    """The record of checkpoint line i, parsed and re-derived on its own."""
+def _parse_line(i: int, line: bytes):
+    """The JSON value of checkpoint line i."""
     try:
-        obj = json.loads(line.decode("utf-8"))
+        return json.loads(line.decode("utf-8"))
     except UnicodeDecodeError:
         raise CheckpointCorrupt(f"line {i}: invalid UTF-8") from None
     except json.JSONDecodeError as e:
@@ -322,16 +332,17 @@ def _decode_line(i: int, line: bytes) -> VerificationRecord:
     except (ValueError, RecursionError) as e:
         # too deeply nested, or an integer past Python's digit limit
         raise CheckpointCorrupt(f"line {i}: unreadable JSON ({e})") from None
-    return record_from_dict(obj)
 
 
 def _checkpoint_block(lines: list, first: int) -> RecordColumns:
     """Records of the complete checkpoint lines numbered first, first + 1, ..., in file order.
 
     A line is taken as it is when it equals, byte for byte, the canonical line
-    of the counts in its head, with pi_star <= pi_s; every other line goes
-    through _decode_line, in file order, so it is accepted or rejected, with
-    its message, exactly as if every line were parsed.
+    of the counts in its head, with pi_star <= pi_s. Every other line is parsed
+    and checked (_checked_counts), the block's counts are re-derived together,
+    and each such line is compared with its derived line (_check_derived); the
+    first bad line in file order is reported, with the message it gets on its
+    own (record_from_dict).
     """
     data = b"".join(lines)
     heads = _CANONICAL_HEAD.findall(data)
@@ -344,26 +355,44 @@ def _checkpoint_block(lines: list, first: int) -> RecordColumns:
     ordered = pi_star <= pi_s
     if derived == data and ordered.all():
         return cols
-    rows = []
+    rows, objs, error = [], {}, None  # objs: row -> parsed object of each line taken the long way
     for k, (line, want, ok) in enumerate(zip(lines, derived.splitlines(True), ordered.tolist())):
         if line == want and ok:
             rows.append(tuple(int(col[k]) for col in cols[:5]))
-        else:
-            rec = _decode_line(first + k, line)
-            rows.append((rec.a, rec.b, rec.s, rec.pi_star, rec.pi_s))
-    return _verdict_columns(*(_int_column(list(col)) for col in zip(*rows)))
+            continue
+        try:
+            obj = _parse_line(first + k, line)
+            counts = _checked_counts(obj)
+        except CheckpointCorrupt as e:
+            error = e  # raised after the lines before it are checked
+            break
+        objs[len(rows)] = obj
+        rows.append(counts)
+    if objs:
+        try:
+            cols = _verdict_columns(*(_int_column(list(col)) for col in zip(*rows)))
+        except (OverflowError, ValueError):
+            for obj in objs.values():
+                record_from_dict(obj)  # the first line that cannot be re-derived raises, with its message
+            raise
+        derived_lines = json_lines(cols)
+        for row, obj in objs.items():
+            _check_derived(obj, derived_lines[row])
+    if error is not None:
+        raise error
+    return cols
 
 
 def _sorted_unique(cols: RecordColumns) -> RecordColumns:
-    """cols in (a, b) order; of rows with equal (a, b) the last one is kept, as a dict keyed by (a, b) keeps it."""
+    """cols in (a, b) order; of rows with equal (a, b) the last one is kept."""
     cols = cols.take(np.lexsort((cols.b, cols.a)))
     last = np.ones(len(cols.a), dtype=bool)
     last[:-1] = (cols.a[1:] != cols.a[:-1]) | (cols.b[1:] != cols.b[:-1])
     return cols.take(last)
 
 
-def load_checkpoint(path: str, columns: bool = False):
-    """Completed records keyed by (a, b); with columns=True, the same records as RecordColumns in (a, b) order.
+def load_checkpoint(path: str) -> RecordColumns:
+    """Completed records as RecordColumns in (a, b) order; of two lines for one pair, the later one wins.
 
     A final line without a terminating newline is an interrupted append; the
     pair is simply recomputed. Any complete line that fails to decode, parse
@@ -381,10 +410,7 @@ def load_checkpoint(path: str, columns: bool = False):
                 if lines:
                     blocks.append(_checkpoint_block(lines, n_read + 1))
                     n_read += len(lines)
-    rows = _concat(blocks)
-    if columns:
-        return _sorted_unique(rows)
-    return {(rec.a, rec.b): rec for rec in rows.records()}
+    return _sorted_unique(_concat(blocks))
 
 
 # ----------------------------------------------------------------------
@@ -478,22 +504,14 @@ def _coprime_bs(a: int, lo: int, hi: int) -> np.ndarray:
     return bs[np.gcd(bs, a) == 1]
 
 
-# (b, v) queries per block of iter_pair_stats: a block holds _MAX_QUERIES // (a-1)
-# values of b, so each of the kernel's a-1 searchsorted calls answers at most that
-# many queries and its working arrays stay O(_MAX_QUERIES / a); each block splits
-# its prime table into the classes mod a once
-_MAX_QUERIES = 1 << 20
-
-
 def iter_pair_stats(a: int, bs):
-    """Yield (b, s, pi_star, pi_s) for each b in input order, a block of b values at a time.
+    """Yield (b, s, pi_star, pi_s) for each b in input order, BLOCK_ROWS values of b per kernel call.
 
     Pairs with s < 2 (a == 1 or b == 1 among them) give (0, 0): no prime is <= s.
     """
     bs = np.fromiter(bs, dtype=np.int64)
-    step = max(1, _MAX_QUERIES // max(a - 1, 1))
-    for i in range(0, bs.size, step):
-        block = bs[i : i + step]
+    for i in range(0, bs.size, BLOCK_ROWS):
+        block = bs[i : i + BLOCK_ROWS]
         s = a * block - a - block
         table = primelib.primes_array(max(int(s.max()), 2))
         pi_s = np.searchsorted(table, s, side="right")
@@ -511,21 +529,6 @@ def scan_coj2_exceptions(a_max: int, b_rule: str = B_RULE_50A2, b_max: int = Non
     return sweep(cfg).summary.coj2_exceptions
 
 
-def _half_bound_scan(a: int, b_hi: int):
-    """(n_pairs, equalities, failures) of 2*pi_star vs pi(s) over coprime a < b <= b_hi."""
-    n_pairs = 0
-    equalities = []
-    failures = []
-    for b, s, ps, pis in iter_pair_stats(a, _coprime_bs(a, a + 1, b_hi)):
-        n_pairs += 1
-        diff = 2 * ps - pis
-        if diff == 0:
-            equalities.append((a, b))
-        elif diff < 0:
-            failures.append((a, b))
-    return n_pairs, equalities, failures
-
-
 @dataclass(frozen=True)
 class Coj1ScanResult:
     equalities: list  # (a, b) pairs with a >= 2 and 2*pi_star == pi_s
@@ -536,23 +539,15 @@ class Coj1ScanResult:
 def scan_coj1_equalities(a_max: int, b_max: int = None) -> Coj1ScanResult:
     """Equality and failure pairs for the half-bound comparison.
 
-    b_max None means the per-a direct-check threshold; the a = 1 family
-    (always 0 = 0) is sampled rather than listed pair by pair.
+    One sweep over a in [2, a_max], b up to b_max, or up to the per-a
+    direct-check threshold when b_max is None; the a = 1 family (always
+    0 = 0) is sampled rather than listed pair by pair.
     """
-    equalities = []
-    failures = []
-    a1_checked = 0
-    for b in range(1, 101):
-        r = pistar.pi_star_fast(new_pair(1, b))
-        if 2 * r.pi_star != r.pi_s:
-            failures.append((1, b))
-        a1_checked += 1
-    for a in range(2, a_max + 1):
-        hi = b_max if b_max is not None else exp_threshold_b_max(a)
-        _, eq, fail = _half_bound_scan(a, hi)
-        equalities += eq
-        failures += fail
-    return Coj1ScanResult(equalities, failures, a1_checked)
+    a1 = [pistar.pi_star_fast(new_pair(1, b)) for b in range(1, 101)]
+    failures = [(1, r.pair.b) for r in a1 if 2 * r.pi_star != r.pi_s]
+    rule = B_RULE_EXP if b_max is None else B_RULE_UPTO
+    summary = sweep(SweepConfig(a_min=2, a_max=a_max, b_rule=rule, b_max=b_max)).summary
+    return Coj1ScanResult(summary.coj1_equalities, failures + summary.coj1_failures, len(a1))
 
 
 # ----------------------------------------------------------------------
@@ -606,9 +601,10 @@ def reproduce_thm3(a: int) -> Thm3Report:
     exceptions = scan_coj2_exceptions(a, B_RULE_50A2, a_min=a)
     expected_exc = [(x, y) for x, y in EXPECTED_COJ2_EXCEPTIONS if x == a]
     b_direct = exp_threshold_b_max(a)
-    _, equalities, failures = _half_bound_scan(a, b_direct)
+    half = sweep(SweepConfig(a_min=a, a_max=a, b_rule=B_RULE_EXP)).summary
     expected_eq = [(3, 5)] if a == 3 else []
     window_ok = _strict_half_window_ok(a) if a in _WINDOW_S_MIN else None
+    equalities, failures = half.coj1_equalities, half.coj1_failures
     return Thm3Report(a, b_direct, exceptions, expected_exc, equalities, expected_eq, failures, window_ok)
 
 
@@ -677,15 +673,10 @@ def reproduce_thm1_cases(case_id: int, case1_samples: int = 200) -> Thm1CaseRepo
         worst, ok = _delta_scan(CASE3_DELTA, range(16, 181), g_poly, CASE3_THRESHOLD)
         return Thm1CaseReport(3, n_pairs, failures, worst, float(CASE3_THRESHOLD), ok)
     if case_id == 4:
-        failures = []
-        n_pairs = 0
-        for a in range(3, 16):
-            n, _, fail = _half_bound_scan(a, 180)
-            n_pairs += n
-            failures += fail
+        half = sweep(SweepConfig(a_min=3, a_max=15, b_rule=B_RULE_UPTO, b_max=180)).summary
         worst = min(bounds.case4_constant(a) for a in range(3, 16))
         ok = all(bounds.case4_constant_exceeds(a, CASE4_THRESHOLD) for a in range(3, 16))
-        return Thm1CaseReport(4, n_pairs, failures, worst, float(CASE4_THRESHOLD), ok)
+        return Thm1CaseReport(4, half.n_pairs, half.coj1_failures, worst, float(CASE4_THRESHOLD), ok)
     raise ValueError("case_id must be 1, 2, 3 or 4")
 
 
@@ -764,20 +755,25 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     """Run the grid, appending finished blocks to the checkpoint as they land.
 
     Output order is deterministic: records are sorted by (a, b) regardless of
-    worker count or resume state. Checkpointed pairs are reused, not recomputed;
-    reused and new blocks are merged one a at a time.
+    worker count or resume state. Checkpointed pairs of the grid are reused, not
+    recomputed. A task is up to BLOCK_ROWS pending values of b of one a; a pool
+    gets about four tasks per worker, the tasks of the largest a first. The
+    reused rows and the new blocks are put in (a, b) order once, at the end.
     """
     grid = grid_pairs(cfg)
-    done = load_checkpoint(cfg.checkpoint_path, columns=True) if cfg.checkpoint_path else _concat([])
-    blocks = {}  # a -> reused and new RecordColumns
-    tasks = []
+    done = load_checkpoint(cfg.checkpoint_path) if cfg.checkpoint_path else _concat([])
+    reused = np.zeros(len(done.a), dtype=bool)
+    pending = {}
     for a, bs in grid.items():
         lo, hi = np.searchsorted(done.a, [a, a + 1])
-        old = done.take(slice(lo, hi))
-        blocks[a] = [old.take(np.isin(old.b, bs))]
-        pending = bs[~np.isin(bs, old.b)]
-        for i in range(0, pending.size, _CHUNK):
-            tasks.append((a, pending[i : i + _CHUNK]))
+        reused[lo:hi] = np.isin(done.b[lo:hi], bs)
+        pending[a] = bs[~np.isin(bs, done.b[lo:hi])]
+    blocks = [done.take(reused)]
+    workers = min(cfg.workers, os.cpu_count() or 1)
+    rows = BLOCK_ROWS
+    if workers > 1:  # a few tasks per worker even out their costs, which grow with a and b
+        rows = max(1, min(rows, -(-sum(bs.size for bs in pending.values()) // (4 * workers))))
+    tasks = [(a, bs[i : i + rows]) for a, bs in pending.items() for i in range(0, bs.size, rows)]
 
     if cfg.checkpoint_path:
         _trim_torn_tail(cfg.checkpoint_path)
@@ -787,20 +783,20 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     try:
 
         def emit(block):
-            blocks[int(block.a[0])].append(block)
+            blocks.append(block)
             if ckpt is not None:
                 ckpt.write("\n".join(json_lines(block)) + "\n")
                 ckpt.flush()
 
         # the pool forks all of its processes at the first submit: never more than there is work and cpus for
-        workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+        workers = min(workers, len(tasks))
         if workers <= 1:
             for a, bs in tasks:
                 emit(_sweep_chunk(a, bs, cfg.cross_check, cfg.brute_cap))
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(_sweep_chunk, a, bs, cfg.cross_check, cfg.brute_cap) for a, bs in tasks
+                    pool.submit(_sweep_chunk, a, bs, cfg.cross_check, cfg.brute_cap) for a, bs in reversed(tasks)
                 ]
                 for fut in as_completed(futures):
                     emit(fut.result())
@@ -808,9 +804,5 @@ def sweep(cfg: SweepConfig) -> SweepResult:
         if ckpt is not None:
             ckpt.close()
 
-    rows = []
-    for parts in blocks.values():
-        merged = _concat(parts)
-        rows.append(merged.take(np.argsort(merged.b, kind="stable")))
-    cols = _concat(rows)
+    cols = _sorted_unique(_concat(blocks))
     return SweepResult(cols, _summarize(cols))

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coinprimes import bounds, pistar, verify
+from coinprimes.cli import main
 from coinprimes.errors import CheckpointCorrupt, DomainError
 from coinprimes.semigroup import new_pair
 
@@ -172,8 +173,8 @@ def _a_and_bs(draw):
 def test_iter_pair_stats_matches_fast(a_bs, small_blocks):
     """The batched kernel equals pi_star_fast pair by pair, in input order, across block edges."""
     a, bs = a_bs
-    block_queries = max(1, 3 * (a - 1)) if small_blocks else verify._MAX_QUERIES
-    with mock.patch.object(verify, "_MAX_QUERIES", block_queries):
+    block_rows = 3 if small_blocks else verify.BLOCK_ROWS
+    with mock.patch.object(verify, "BLOCK_ROWS", block_rows):
         got = list(verify.iter_pair_stats(a, bs))
     want = []
     for b in bs:
@@ -259,6 +260,8 @@ def test_record_to_json_matches_json_dumps():
     assert any(math.isnan(r.thm2_rhs) for r in recs) and not all(r.thm1_holds for r in recs)
     for rec in recs:
         assert verify.record_to_json(rec) == json.dumps(verify.record_to_dict(rec))
+    # record_to_dict parses record_to_json, so the check above only shows that the line is valid JSON in
+    # json.dumps form; the pinned lines below are the oracle of the encoding
     pinned = [
         ("3,5,7,2,4,2.69797,false,true,equality,exception,0", "2.6979662974411913", "false", "true", "equality", "exception"),
         ("5,7,23,5,9,4.5846,true,true,strict,holds,0", "4.584604215492139", "true", "true", "strict", "holds"),
@@ -356,7 +359,7 @@ def test_load_checkpoint_torn_tail(tmp_path):
             fh.write(json.dumps(verify.record_to_dict(r)) + "\n")
         fh.write('{"schema": 1, "a": 3, "b"')  # interrupted append
     loaded = verify.load_checkpoint(str(path))
-    assert set(loaded) == {(3, 4), (3, 5)}
+    assert list(zip(loaded.a.tolist(), loaded.b.tolist())) == [(3, 4), (3, 5)]
 
 
 def test_load_checkpoint_corrupt_line(tmp_path):
@@ -364,7 +367,7 @@ def test_load_checkpoint_corrupt_line(tmp_path):
     path.write_text("this is not json\n")
     with pytest.raises(CheckpointCorrupt):
         verify.load_checkpoint(str(path))
-    assert verify.load_checkpoint(str(tmp_path / "missing.jsonl")) == {}
+    assert len(verify.load_checkpoint(str(tmp_path / "missing.jsonl")).a) == 0
 
 
 def _variant_lines(recs):
@@ -395,9 +398,7 @@ def test_load_checkpoint_reuses_valid_noncanonical_lines(tmp_path, monkeypatch, 
     path = tmp_path / "ck.jsonl"
     path.write_text(verify.record_to_json(dup) + "\n" + "".join(_variant_lines(recs)) + verify.record_to_json(big) + "\n")
     want = [_fields(rec) for rec in recs + [big]]  # (a, b) order; the later line for (3, 4) wins
-    loaded = verify.load_checkpoint(str(path))
-    assert sorted(_fields(rec) for rec in loaded.values()) == want
-    assert [_fields(rec) for rec in verify.load_checkpoint(str(path), columns=True).records()] == want
+    assert [_fields(rec) for rec in verify.load_checkpoint(str(path)).records()] == want
     # all of them reused: the resumed sweep appends nothing and returns the fresh records
     before = path.read_bytes()
     resumed = verify.sweep(_small_cfg(a_min=2, checkpoint_path=str(path))).records
@@ -405,7 +406,19 @@ def test_load_checkpoint_reuses_valid_noncanonical_lines(tmp_path, monkeypatch, 
     assert path.read_bytes() == before
 
 
-# (payload after 1,000 good lines, the message the line-by-line parse gives for it)
+_BASE = verify.record_to_dict(verify.evaluate_pair(7, 30, 173, 1, 40))
+_VALID = json.dumps(dict(_BASE, ms=17))  # valid, not canonical: reused
+_FLIPPED = json.dumps(dict(_BASE, thm2=True))
+_WRONG_S = json.dumps(dict(_BASE, s=174))
+_TOO_BIG = json.dumps(dict(_BASE, a=3, b=5, s=7, pi_star=10**400, pi_s=10**400))
+
+
+def _payload(*lines):
+    return "".join(line + "\n" for line in lines).encode()
+
+
+# (payload after 1,000 good lines, the message the line-by-line parse gives for it); the lines of a
+# multi-line payload are re-derived together, and the first bad one in file order is reported
 _BAD_AFTER_GOOD = [
     (b"garbage\n", "line 1001: invalid JSON (Expecting value)"),
     (b'\xff\xfe{"schema": 1}\n', "line 1001: invalid UTF-8"),
@@ -420,6 +433,11 @@ _BAD_AFTER_GOOD = [
     ({"extra": 1}, "unknown fields: ['extra']"),
     (b"9" * 5000 + b"\n", "line 1001: unreadable JSON (Exceeds the limit (4300 digits) for integer string "
      "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit)"),
+    (_payload(_VALID, _FLIPPED, _WRONG_S), "(7,30): fields ['thm2'] disagree with the counts"),
+    (_payload(_VALID, _WRONG_S, _FLIPPED), "(7,30): s = 174 is not a*b - a - b"),
+    (_payload(_VALID, _TOO_BIG, _FLIPPED), "(3,5): cannot re-derive the verdicts (int too large to convert to float)"),
+    (_payload(_FLIPPED, _TOO_BIG), "(7,30): fields ['thm2'] disagree with the counts"),
+    (_payload(_VALID, _VALID, "garbage", _FLIPPED), "line 1003: invalid JSON (Expecting value)"),
 ]
 
 
@@ -433,10 +451,10 @@ def test_bad_line_after_good_lines_keeps_its_message(tmp_path, monkeypatch, read
         payload = (json.dumps(dict(rec, **payload)) + "\n").encode()
     path = tmp_path / "ck.jsonl"
     path.write_bytes("".join(good[:1000]).encode() + payload + "".join(good[1000:1010]).encode())
-    for columns in (False, True):
-        with pytest.raises(CheckpointCorrupt) as err:
-            verify.load_checkpoint(str(path), columns=columns)
-        assert str(err.value) == message
+    with pytest.raises(CheckpointCorrupt) as err:
+        verify.load_checkpoint(str(path))
+    assert str(err.value) == message
+
 
 
 def _small_cfg(**kw):
@@ -473,9 +491,10 @@ def test_sweep_threads_deterministic():
 
 
 class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs each task at submit."""
+    """Stands in for ProcessPoolExecutor: records max_workers and each task's (a, rows), and runs it at submit."""
 
     sizes = []
+    tasks = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -487,21 +506,27 @@ class _InlineExecutor:
         return False
 
     def submit(self, fn, *args):
+        self.tasks.append((args[0], len(args[1])))
         fut = Future()
         fut.set_result(fn(*args))
         return fut
 
 
 def test_sweep_pool_size_is_bounded(monkeypatch):
-    """--threads N asks for at most one process per task and per cpu; no real process is started."""
+    """--threads N asks for at most one process per task and per cpu, and cuts about four tasks per process,
+    the largest a first; no real process is started."""
     monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlineExecutor)
     serial = verify.sweep(_small_cfg())
-    n_tasks = len(verify.grid_pairs(_small_cfg()))  # one task per a: every row is below the task size
-    for cpus, workers, want in [(64, 5000, n_tasks), (2, 5000, 2), (64, 3, 3), (None, 5000, None), (64, 1, None)]:
-        _InlineExecutor.sizes = []
+    n_pairs = serial.summary.n_pairs  # 82: on 128 cpus every task is one pair
+    for cpus, workers, want in [(128, 5000, n_pairs), (64, 5000, 64), (2, 5000, 2), (64, 3, 3), (None, 5000, None), (64, 1, None)]:
+        _InlineExecutor.sizes, _InlineExecutor.tasks = [], []
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
         assert verify.sweep(_small_cfg(workers=workers)).records == serial.records
         assert _InlineExecutor.sizes == ([] if want is None else [want])
+        a_order = [a for a, _ in _InlineExecutor.tasks]
+        assert a_order == sorted(a_order, reverse=True)
+        if want is not None:
+            assert max(rows for _, rows in _InlineExecutor.tasks) == -(-n_pairs // (4 * want))
 
 
 def test_sweep_checkpoint_resume(tmp_path):
@@ -518,3 +543,31 @@ def test_sweep_checkpoint_resume(tmp_path):
     # a second resume recomputes nothing but still returns everything
     again = verify.sweep(_small_cfg(checkpoint_path=str(path)))
     assert again.records == full.records
+
+
+def test_tiny_blocks_keep_every_byte(tmp_path, monkeypatch):
+    """BLOCK_ROWS = 5 cuts tasks, kernel blocks and output slices inside each a: fresh, pooled and resumed CSVs are unchanged."""
+    out = tmp_path / "out.csv"
+    argv = ["verify", "coj2", "--a-max", "8", "--b-rule", "upto", "--b-max", "60", "--format", "csv", "--out", str(out)]
+
+    def csv(*extra):
+        out.unlink(missing_ok=True)
+        assert main(argv + list(extra)) == 0
+        return out.read_bytes()
+
+    want = csv()
+    monkeypatch.setattr(verify, "BLOCK_ROWS", 5)
+    assert csv() == want
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    _InlineExecutor.sizes = []
+    assert csv("--threads", "4") == want
+    assert _InlineExecutor.sizes == [4]
+    ck = tmp_path / "ck.jsonl"
+    assert csv("--resume", str(ck)) == want
+    lines = ck.read_text().splitlines(keepends=True)
+    # keep a = 5 up to two lines into its second block, tear the next line, and resume
+    cut = [i for i, line in enumerate(lines) if '"a": 5,' in line][7]
+    ck.write_text("".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2])
+    assert csv("--resume", str(ck)) == want
+    assert sorted(ck.read_text().splitlines(keepends=True)) == sorted(lines)
