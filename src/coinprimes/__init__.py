@@ -18,12 +18,10 @@ from .bounds import (
     rs_pi_lower,
     rs_pi_upper,
     thm2_rhs,
-    thm2_upper_decomposition,
 )
 from .errors import CheckpointCorrupt, DomainError, LimitExceeded, NotCoprime
 from .pistar import (
     pi_star_bruteforce,
-    pi_star_closed_small,
     pi_star_fast,
     pi_star_residue_sum,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "pi",
     "pi_ap",
     "pi_star_bruteforce",
-    "pi_star_closed_small",
     "pi_star_fast",
     "pi_star_residue_sum",
     "reproduce_thm1_cases",
@@ -78,6 +75,5 @@ __all__ = [
     "scan_coj2_exceptions",
     "sweep",
     "thm2_rhs",
-    "thm2_upper_decomposition",
     "__version__",
 ]

@@ -16,8 +16,9 @@ decides a column comparison from the doubles and sends only the rows within
 REL_GUARD to the interval guard; thm2_rhs_column and
 pi_star_exceeds_thm2_rhs_column do the same for the thm2 threshold of a
 sweep block. The envelope validators count primes with
-one searchsorted, or one bincount per slice for the progressions, and compare
-whole columns of counts against the envelopes the same way.
+one searchsorted, one bincount per slice for the progressions, or one strided
+view of a prime bitmap per Montgomery-Vaughan sample, and compare whole
+columns of counts against the envelopes the same way.
 """
 
 import math
@@ -166,18 +167,6 @@ def case4_constant(a: int) -> float:
     t = 180 * a - 181
     lt = math.log(t)
     return (1.0 / a - lt / t) / (1.0 + 1.5 / lt)
-
-
-def thm2_upper_decomposition(pair) -> int:
-    """Exact upper bound: sum of pi(b*v; a, b*v) over v coprime to a, plus omega(a)."""
-    a, b = pair.a, pair.b
-    if a < 3:
-        raise DomainError("needs a >= 3")
-    total = 0
-    for v in range(1, a):
-        if math.gcd(v, a) == 1:
-            total += primelib.pi_ap(b * v, a, (b * v) % a)
-    return total + arith.omega(a)
 
 
 # ----------------------------------------------------------------------
@@ -340,8 +329,7 @@ def _ap_iv(x, m, upper: bool):
     return build
 
 
-def _mv_iv(y, k):
-    phi = arith.euler_phi(k)
+def _mv_iv(y, k, phi):
     return lambda iv: 2 * iv.mpf(y) / (phi * iv.log(iv.mpf(y) / k))
 
 
@@ -404,6 +392,28 @@ def validate_ap_envelope(m_max: int = 50, x_max: int = 10_000_000, points: int =
     return EnvelopeCheck("ap-fixed-range", checked, violations)
 
 
+def _mv_draws(samples: int, x_max: int, y_max: int, k_max: int, seed: int) -> list:
+    """The (x, y, k, l) samples of validate_mv_bound, in draw order: log-uniform k and y > k, uniform x and l.
+
+    Each uniform(lo, hi) is written lo + (hi - lo) * random(), the expression numpy's
+    Generator.uniform evaluates on the same double, so these are the draws of rng.uniform.
+    """
+    rng = np.random.default_rng(seed)
+    random, integers = rng.random, rng.integers
+    log_k_max, log_y_max = math.log(k_max), math.log(y_max)
+    draws = []
+    for _ in range(samples):
+        k = max(int(math.exp(log_k_max * random())), 1)
+        if k + 1 < y_max:
+            lo = math.log(k + 1)
+            y = max(int(math.exp(lo + (log_y_max - lo) * random())), k + 1)
+        else:
+            y = k + 1
+        x = int(x_max * random())
+        draws.append((x, y, k, int(integers(0, k))))
+    return draws
+
+
 def validate_mv_bound(
     samples: int = 10_000,
     x_max: int = 1_000_000,
@@ -411,32 +421,33 @@ def validate_mv_bound(
     k_max: int = 10_000,
     seed: int = 20260819,
 ) -> EnvelopeCheck:
-    """Sample (x, y, k, l) with k < y and compare interval class counts to mv_upper."""
-    rng = np.random.default_rng(seed)
-    p = primelib.primes_array(x_max + y_max)
-    draws = []
-    counts = []
-    uppers = []
-    for _ in range(samples):
-        k = int(math.exp(rng.uniform(0.0, math.log(k_max))))
-        k = max(k, 1)
-        y = int(math.exp(rng.uniform(math.log(k + 1), math.log(y_max)))) if k + 1 < y_max else k + 1
-        y = max(y, k + 1)
-        x = int(rng.uniform(0, x_max))
-        l = int(rng.integers(0, k))
-        i0 = np.searchsorted(p, x, side="right")
-        i1 = np.searchsorted(p, x + y, side="right")
-        seg = p[i0:i1]
-        draws.append((x, y, k, l))
-        counts.append(int(np.count_nonzero(seg % k == l)))
-        uppers.append(mv_upper(x, y, k, l))
+    """Sample (x, y, k, l) with k < y and compare interval class counts to mv_upper.
+
+    The draws (_mv_draws) come first and are only collected. The primes up to
+    the largest x + y drawn are one bool bitmap, and a sample's count of the
+    primes n in (x, x + y] with n = l (mod k) is one strided view of it, from
+    the least such n above x. phi(k) is one column (arith.coprime_counts) and
+    the bounds one column of doubles, each row mv_upper bit for bit. When
+    k_max >= y_max a draw can have y = k + 1 > y_max; the bitmap reaches its
+    x + y all the same.
+    """
+    draws = _mv_draws(samples, x_max, y_max, k_max, seed)
+    x, y, k, l = np.array(draws, dtype=np.int64).reshape(-1, 4).T
+    ends = x + y + 1
+    flags = np.zeros(int(ends.max(initial=1)), dtype=bool)
+    flags[primelib.primes_array(flags.size - 1)] = True
+    firsts = x + 1 + (l - x - 1) % k  # the least n > x with n = l (mod k)
+    spans = zip(firsts.tolist(), ends.tolist(), k.tolist())
+    counts = np.fromiter((np.count_nonzero(flags[f:e:m]) for f, e, m in spans), dtype=np.int64, count=samples)
+    phi = arith.coprime_counts(np.zeros_like(k), k)[1]
+    log_yk = np.fromiter(map(math.log, (y / k).tolist()), dtype=float, count=samples)
+    uppers = 2.0 * y / (phi * log_yk)
     ok = guarded_greater_column(
-        uppers, counts, lambda i: _mv_iv(draws[i][1], draws[i][2]), lambda i: _int_iv(counts[i])
+        uppers, counts, lambda i: _mv_iv(int(y[i]), int(k[i]), int(phi[i])), lambda i: _int_iv(counts[i])
     )
     violations = []
     for i in np.flatnonzero(~ok).tolist():
-        (x, y, k, l), count, bound = draws[i], counts[i], uppers[i]
-        violations.append(
-            BoundReport("mv-upper", {"x": x, "y": y, "k": k, "l": l}, float(count), bound, False, bound - count)
-        )
+        (x_i, y_i, k_i, l_i), count, bound = draws[i], int(counts[i]), float(uppers[i])
+        inputs = {"x": x_i, "y": y_i, "k": k_i, "l": l_i}
+        violations.append(BoundReport("mv-upper", inputs, float(count), bound, False, bound - count))
     return EnvelopeCheck("montgomery-vaughan", samples, violations)

@@ -7,7 +7,6 @@ Three independent routes compute the same number:
                b*v in the class b*v mod a, batched over b
   brute-force  mark every a*u + b*v up to s, then subtract from a dense sieve
 
-plus closed forms for the degenerate families (one generator equal to 1 or 2).
 Every grid command counts with the residue-sum kernel; fast and brute force
 are the independent routes it is cross-checked against.
 """
@@ -18,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import primes as primelib
-from .errors import LimitExceeded, NotCoprime
-from .semigroup import SemigroupPair, new_pair
+from .errors import LimitExceeded
+from .semigroup import SemigroupPair
 
 BRUTE_FORCE_CAP = 10_000_000
 
 METHOD_FAST = "fast"
 METHOD_RESIDUE = "residue-sum"
 METHOD_BRUTE = "brute-force"
-METHOD_CLOSED = "closed-form"
 
 
 @dataclass(frozen=True)
@@ -117,24 +115,3 @@ def pi_star_bruteforce(pair: SemigroupPair, cap: int = BRUTE_FORCE_CAP) -> PiSta
     pi_s = int(np.count_nonzero(flags))
     gapped = int(np.count_nonzero(flags & ~reachable))
     return _result(pair, gapped, pi_s, METHOD_BRUTE)
-
-
-def pi_star_closed_small(a: int, b: int) -> PiStarResult:
-    """Closed forms when min(a, b) <= 2; None otherwise.
-
-    min = 1: every integer is representable, so the count is 0.
-    min = 2: the gaps are the odd numbers below the odd generator y, giving
-    pi(y - 2) - 1 prime gaps (0 for y = 3).
-    """
-    if math.gcd(a, b) != 1:
-        raise NotCoprime(f"gcd({a}, {b}) != 1")
-    lo, hi = min(a, b), max(a, b)
-    pair = new_pair(a, b)
-    if lo == 1:
-        return _result(pair, 0, 0, METHOD_CLOSED)
-    if lo == 2:
-        if hi == 3:
-            return _result(pair, 0, 0, METHOD_CLOSED)
-        pi_s = primelib.pi(hi - 2)
-        return _result(pair, pi_s - 1, pi_s, METHOD_CLOSED)
-    return None

@@ -14,8 +14,9 @@ Verdicts that compare an integer count against a log-bearing threshold are
 guarded (see bounds.guarded_strictly_greater); pure integer verdicts are exact.
 
 Every finite scan of full counts over a grid of pairs (coj2 and thm2, the
-half-bound scans of thm3 and coj1, thm1 case 4 and the thm1 grid) is one call
-of sweep, and _summarize is the one place verdict columns become pair lists;
+exception and half-bound scans of thm3, which share one sweep per a, the
+half-bound scan of coj1, thm1 case 4 and the thm1 grid) is one call of
+sweep, and _summarize is the one place verdict columns become pair lists;
 thm1 case 3, which counts only the gap primes up to s/20, calls the kernel
 itself. The sweep carries records as columns (RecordColumns), BLOCK_ROWS
 values of b of one a at a time, from the kernel to the output:
@@ -598,10 +599,12 @@ def reproduce_thm3(a: int) -> Thm3Report:
     """Run every finite check behind the thm3 claim for one a in [3, 10]."""
     if not 3 <= a <= 10:
         raise DomainError("thm3 covers 3 <= a <= 10")
-    exceptions = scan_coj2_exceptions(a, B_RULE_50A2, a_min=a)
+    # one sweep to the larger of the two limits: the exceptions are read over b <= 50a^2, the half bound to b_direct
+    b_exc, b_direct = b_limit(B_RULE_50A2, a), exp_threshold_b_max(a)
+    cols = sweep(SweepConfig(a_min=a, a_max=a, b_rule=B_RULE_UPTO, b_max=max(b_exc, b_direct))).columns
+    exceptions = _summarize(cols.take(cols.b <= b_exc)).coj2_exceptions
     expected_exc = [(x, y) for x, y in EXPECTED_COJ2_EXCEPTIONS if x == a]
-    b_direct = exp_threshold_b_max(a)
-    half = sweep(SweepConfig(a_min=a, a_max=a, b_rule=B_RULE_EXP)).summary
+    half = _summarize(cols.take(cols.b <= b_direct))
     expected_eq = [(3, 5)] if a == 3 else []
     window_ok = _strict_half_window_ok(a) if a in _WINDOW_S_MIN else None
     equalities, failures = half.coj1_equalities, half.coj1_failures

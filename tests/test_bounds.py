@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from coinprimes import arith, bounds, pistar, primes, semigroup, verify
+from coinprimes import arith, bounds, primes, verify
 from coinprimes.errors import DomainError
 
 
@@ -152,20 +152,6 @@ def test_case4_constant():
         bounds.case4_constant(2)
     with pytest.raises(DomainError):
         bounds.case4_constant(16)
-
-
-def test_thm2_upper_decomposition():
-    assert bounds.thm2_upper_decomposition(semigroup.new_pair(3, 5)) == 4
-    assert bounds.thm2_upper_decomposition(semigroup.new_pair(5, 7)) == 7
-    with pytest.raises(DomainError):
-        bounds.thm2_upper_decomposition(semigroup.new_pair(2, 7))
-    # it really is an upper bound for the exact count
-    for a in (3, 4, 7, 12, 19):
-        for b in (a + 1, 2 * a + 1, 57, 58, 59, 60):
-            if math.gcd(a, b) != 1 or b <= a:
-                continue
-            pair = semigroup.new_pair(a, b)
-            assert pistar.pi_star_fast(pair).pi_star <= bounds.thm2_upper_decomposition(pair)
 
 
 def test_guarded_verdicts_basic():
@@ -322,3 +308,72 @@ def test_validators_small_scale():
     assert ap.ok and ap.n_checked > 0
     mv = bounds.validate_mv_bound(samples=400, x_max=10**5, y_max=10**5, k_max=100, seed=7)
     assert mv.ok and mv.n_checked == 400
+
+
+def _mv_reference_draws(samples, x_max, y_max, k_max, seed):
+    # the sampling loop as first written, with rng.uniform
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(samples):
+        k = int(math.exp(rng.uniform(0.0, math.log(k_max))))
+        k = max(k, 1)
+        y = int(math.exp(rng.uniform(math.log(k + 1), math.log(y_max)))) if k + 1 < y_max else k + 1
+        y = max(y, k + 1)
+        x = int(rng.uniform(0, x_max))
+        l = int(rng.integers(0, k))
+        out.append((x, y, k, l))
+    return out
+
+
+def _mv_columns(monkeypatch, **kwargs):
+    """(check, counts, bounds) of validate_mv_bound, the two columns read off its guarded comparison."""
+    seen = []
+    real = bounds.guarded_greater_column
+
+    def spy(lhs, rhs, lhs_iv, rhs_iv):
+        seen.append((np.asarray(rhs).tolist(), np.asarray(lhs).tolist()))
+        return real(lhs, rhs, lhs_iv, rhs_iv)
+
+    monkeypatch.setattr(bounds, "guarded_greater_column", spy)
+    check = bounds.validate_mv_bound(**kwargs)
+    [(counts, uppers)] = seen
+    return check, counts, uppers
+
+
+def test_mv_draws_are_those_of_rng_uniform():
+    for seed in range(24):
+        for x_max, y_max, k_max in ((10**6, 10**6, 10**4), (1000, 1000, 10**4), (10**4, 10**4, 50), (50, 7, 1)):
+            want = _mv_reference_draws(300, x_max, y_max, k_max, seed)
+            assert bounds._mv_draws(300, x_max, y_max, k_max, seed) == want
+
+
+def test_mv_counts_and_bounds_match_per_sample_definition(monkeypatch):
+    p = primes.primes_array(3 * 10**4)
+    for seed in (1, 2, 3, 11):
+        for kw in (dict(x_max=10**4, y_max=10**4, k_max=100), dict(x_max=5000, y_max=2000, k_max=3000)):
+            _, counts, uppers = _mv_columns(monkeypatch, samples=300, seed=seed, **kw)
+            want_counts, want_uppers = [], []
+            for x, y, k, l in _mv_reference_draws(300, seed=seed, **kw):
+                seg = p[np.searchsorted(p, x, side="right") : np.searchsorted(p, x + y, side="right")]
+                want_counts.append(int(np.count_nonzero(seg % k == l)))
+                want_uppers.append(bounds.mv_upper(x, y, k, l))
+            assert counts == want_counts
+            assert np.array(uppers).tobytes() == np.array(want_uppers).tobytes()  # bit for bit
+
+
+def test_mv_counts_reach_past_y_max(monkeypatch):
+    # with k_max >= y_max many draws have y = k + 1 > y_max, so x + y runs past x_max + y_max
+    check, counts, _ = _mv_columns(monkeypatch, samples=2000, x_max=1000, y_max=1000, k_max=10_000, seed=1)
+    assert check.ok and check.n_checked == 2000
+    p = primes.primes_array(10**5)
+    draws = _mv_reference_draws(2000, 1000, 1000, 10_000, 1)
+    assert max(x + y for x, y, _, _ in draws) > 2000
+    want = [int(np.count_nonzero((p > x) & (p <= x + y) & (p % k == l))) for x, y, k, l in draws]
+    assert counts == want
+    # the primes above x_max + y_max make up part of these counts
+    assert sum(int(np.count_nonzero((p > max(x, 2000)) & (p <= x + y) & (p % k == l))) for x, y, k, l in draws) > 0
+
+
+def test_mv_bound_without_samples():
+    mv = bounds.validate_mv_bound(samples=0)
+    assert mv.n_checked == 0 and mv.ok

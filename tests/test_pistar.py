@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coinprimes import pistar, primes, semigroup
-from coinprimes.errors import DomainError, LimitExceeded, NotCoprime
+from coinprimes.errors import LimitExceeded
 
 
 def test_point_values():
@@ -86,21 +86,17 @@ def test_symmetry_in_generators():
 
 
 def test_closed_forms():
-    assert pistar.pi_star_closed_small(1, 11).pi_star == 0
-    assert pistar.pi_star_closed_small(11, 1).pi_star == 0
-    assert pistar.pi_star_closed_small(2, 3).pi_star == 0
-    assert pistar.pi_star_closed_small(3, 2).pi_star == 0
-    assert pistar.pi_star_closed_small(3, 7) is None
-    with pytest.raises(NotCoprime):
-        pistar.pi_star_closed_small(2, 6)
+    # <1, y> misses nothing; <2, y> misses the odd numbers below y, so pi(y - 2) - 1 primes for y >= 5
+    for b in (3, 11):
+        assert pistar.pi_star_fast(semigroup.new_pair(1, b)).pi_star == 0
+        assert pistar.pi_star_fast(semigroup.new_pair(b, 1)).pi_star == 0
+    assert pistar.pi_star_fast(semigroup.new_pair(2, 3)).pi_star == 0
+    assert pistar.pi_star_fast(semigroup.new_pair(3, 2)).pi_star == 0
     rng = random.Random(42)
     for _ in range(60):
         b = rng.randrange(5, 10**4) | 1
-        want = pistar.pi_star_fast(semigroup.new_pair(2, b)).pi_star
-        got = pistar.pi_star_closed_small(2, b)
-        assert got.pi_star == want
-        assert got.method == pistar.METHOD_CLOSED
-        assert want == primes.pi(b - 2) - 1
+        assert pistar.pi_star_fast(semigroup.new_pair(2, b)).pi_star == primes.pi(b - 2) - 1
+        assert pistar.pi_star_fast(semigroup.new_pair(b, 2)).pi_star == primes.pi(b - 2) - 1
 
 
 def test_bruteforce_cap():
