@@ -333,9 +333,9 @@ def _mv_iv(y, k, phi):
     return lambda iv: 2 * iv.mpf(y) / (phi * iv.log(iv.mpf(y) / k))
 
 
-def validate_rs_envelope(x_min: int = 17, x_max: int = 10_000_000, points: int = 200) -> EnvelopeCheck:
-    """Check x/log x < pi(x) < rs_pi_upper(x) on a log-spaced grid."""
-    xs = log_spaced_ints(max(x_min, 17), x_max, points)
+def validate_rs_envelope(x_max: int = 10_000_000, points: int = 200) -> EnvelopeCheck:
+    """Check x/log x < pi(x) < rs_pi_upper(x) on a log-spaced grid from 17."""
+    xs = log_spaced_ints(17, x_max, points)
     p = primelib.primes_array(x_max)
     counts = np.searchsorted(p, xs, side="right").tolist()
     lows = [rs_pi_lower(x) for x in xs]

@@ -6,23 +6,26 @@ Subcommands:
   gaps      list the gaps of one pair, flagging the primes
   verify    run a claim check: thm1, thm2, thm3, coj1, coj2, or bounds
 
-Exit codes: 0 pass, 1 violation found, 2 bad input, 3 resource cap hit,
-4 corrupted checkpoint. Numbers are printed in full integer form; reals with
-6 significant digits. All output is locale-independent and, for fixed flags,
-byte-stable across runs and thread counts.
+Exit codes: 0 pass, 1 violation found, 2 bad input (a verify target exits 2 on
+any flag it does not read), 3 resource cap hit, 4 corrupted checkpoint. Numbers
+are printed in full integer form; reals with 6 significant digits. Output is
+locale-independent and, for fixed flags, byte-stable across thread counts.
 """
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import bounds, pistar, verify
 from . import primes as primelib
-from .errors import CheckpointCorrupt, DomainError, LimitExceeded, NotCoprime
+from .errors import CheckpointCorrupt, LimitExceeded, MethodDisagreement
 from .semigroup import gaps as semigroup_gaps
 from .semigroup import new_pair
 
+
+_ERROR_EXIT_CODES = {MethodDisagreement: 1, LimitExceeded: 3, CheckpointCorrupt: 4}  # other errors main catches: 2
 
 _METHOD_FLAGS = {
     "fast": (pistar.METHOD_FAST,),
@@ -63,9 +66,9 @@ def _compute_one(pair, method, brute_cap):
 def cmd_compute(args) -> int:
     pair = new_pair(args.a, args.b)
     results = [_compute_one(pair, m, args.brute_cap) for m in _METHOD_FLAGS[args.method]]
-    values = {r.pi_star for r in results}
-    if len(values) != 1:
-        print(f"FAIL: methods disagree on {pair}: " + ", ".join(f"{r.method}={r.pi_star}" for r in results))
+    if len({(r.pi_star, r.pi_s) for r in results}) != 1:
+        counts = ", ".join(f"{r.method}=({r.pi_star}, {r.pi_s})" for r in results)
+        print(f"FAIL: methods disagree on {pair} (pi_star, pi_s): {counts}")
         return 1
     r0 = results[0]
     if args.format == "table":
@@ -98,29 +101,39 @@ def cmd_gaps(args) -> int:
     return 0
 
 
-def _parse_a_range(args, default_lo, default_hi):
+def _a_range_arg(text):
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected MIN:MAX, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"MIN > MAX in {text!r}")
+    return lo, hi
+
+
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _a_bounds(args, default_lo, default_hi):
+    """(lo, hi) of a from whichever of --a, --a-range and --a-max was given, else the defaults."""
     if args.a is not None:
         return args.a, args.a
-    if args.a_range is not None:
-        lo_s, _, hi_s = args.a_range.partition(":")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise ValueError(f"bad --a-range {args.a_range!r}, expected MIN:MAX") from None
-        if lo > hi:
-            raise ValueError(f"bad --a-range {args.a_range!r}: MIN > MAX")
-        return lo, hi
-    if args.a_max is not None:
-        return default_lo, args.a_max
-    return default_lo, default_hi
+    return args.a_range or (default_lo, default_hi if args.a_max is None else args.a_max)
 
 
 def _run_sweep(args, lo, hi):
     """Sweep a in [lo, hi] as the flags ask; records go out as --format, or as CSV to --out."""
+    if args.b_max is not None and args.b_rule not in (None, verify.B_RULE_UPTO):
+        raise ValueError(f"--b-max bounds b by the upto rule, so it does not go with --b-rule {args.b_rule}")
+    rule = verify.B_RULE_UPTO if args.b_max is not None else args.b_rule or verify.B_RULE_50A2
     cfg = verify.SweepConfig(
         a_min=lo,
         a_max=hi,
-        b_rule=args.b_rule,
+        b_rule=rule,
         b_max=args.b_max,
         cross_check=args.cross_check,
         workers=args.threads,
@@ -135,9 +148,10 @@ def _run_sweep(args, lo, hi):
     return result
 
 
-def _verify_exceptions_target(args, label) -> int:
-    """Shared driver for thm2 and coj2: sweep, then diff the exception set."""
-    lo, hi = _parse_a_range(args, 3, 10)
+def _verify_exceptions_target(args) -> int:
+    """The driver of thm2 and coj2: sweep, then diff the exception set."""
+    label = args.target
+    lo, hi = _a_bounds(args, 3, 10)
     if lo < 3:
         raise ValueError(f"{label} verification needs a >= 3")
     result = _run_sweep(args, lo, hi)
@@ -160,8 +174,13 @@ def _verify_exceptions_target(args, label) -> int:
 
 
 def _verify_thm1(args) -> int:
-    if args.a is not None or args.a_range is not None or args.a_max is not None:
-        lo, hi = _parse_a_range(args, 1, 10)
+    """Grid mode when an a-flag is given, reading the sweep flags; else case mode, reading --case and --samples."""
+    grid = args.a is not None or args.a_max is not None or args.a_range is not None
+    stray = args.given & {"--case", "--samples"} if grid else args.given - {"--case", "--samples"}
+    if stray:
+        raise ValueError(f"thm1 {'grid' if grid else 'case'} mode does not read {', '.join(sorted(stray))}")
+    if grid:
+        lo, hi = _a_bounds(args, 1, 10)
         result = _run_sweep(args, lo, hi)
         bad = result.summary.thm1_failures
         print(f"thm1: checked {result.summary.n_pairs} pairs, a in [{lo},{hi}]")
@@ -172,10 +191,10 @@ def _verify_thm1(args) -> int:
             return 1
         print("PASS: thm1 holds on the whole grid")
         return 0
-    case_ids = (1, 2, 3, 4) if args.case in (None, "all") else (int(args.case),)
+    case_ids = (1, 2, 3, 4) if args.case == "all" else (int(args.case),)
     ok = True
     for cid in case_ids:
-        rep = verify.reproduce_thm1_cases(cid, case1_samples=args.samples or 200)
+        rep = verify.reproduce_thm1_cases(cid, case1_samples=args.samples)
         bits = []
         if rep.n_pairs:
             bits.append(f"{rep.n_pairs} pairs, {len(rep.computational_failures)} failures")
@@ -190,7 +209,7 @@ def _verify_thm1(args) -> int:
 
 
 def _verify_thm3(args) -> int:
-    lo, hi = _parse_a_range(args, 3, 10)
+    lo, hi = _a_bounds(args, 3, 10)
     ok = True
     for a in range(lo, hi + 1):
         rep = verify.reproduce_thm3(a)
@@ -208,11 +227,10 @@ def _verify_thm3(args) -> int:
 
 
 def _verify_coj1(args) -> int:
-    a_max = args.a_max if args.a_max is not None else 10
-    res = verify.scan_coj1_equalities(a_max, b_max=args.b_max)
-    expected = [(a, b) for a, b in verify.EXPECTED_COJ1_EQUALITIES if a <= a_max]
-    if args.b_max is not None:
-        expected = [(a, b) for a, b in expected if b <= args.b_max]
+    res = verify.scan_coj1_equalities(args.a_max, b_max=args.b_max)
+    expected = [
+        (a, b) for a, b in verify.EXPECTED_COJ1_EQUALITIES if a <= args.a_max and (args.b_max is None or b <= args.b_max)
+    ]
     print(f"coj1: a=1 family sampled at {res.a1_family_checked} values of b (all equalities)")
     for a, b in res.equalities:
         tag = "expected" if (a, b) in expected else "UNEXPECTED"
@@ -230,22 +248,15 @@ def _verify_coj1(args) -> int:
 
 
 def _verify_bounds(args) -> int:
-    which = args.check or "all"
-    x_max = int(args.x_max) if args.x_max is not None else 10**7
+    x_max = int(args.x_max)
     checks = []
-    if which in ("rs", "all"):
+    if args.check in ("rs", "all"):
         checks.append(bounds.validate_rs_envelope(x_max=x_max, points=200))
-    if which in ("ap", "all"):
+    if args.check in ("ap", "all"):
         checks.append(bounds.validate_ap_envelope(m_max=50, x_max=x_max, points=20))
-    if which in ("mv", "all"):
-        checks.append(
-            bounds.validate_mv_bound(
-                samples=args.samples or 10**4,
-                x_max=min(x_max, 10**6),
-                y_max=min(x_max, 10**6),
-                seed=args.seed,
-            )
-        )
+    if args.check in ("mv", "all"):
+        mv_max = min(x_max, 10**6)
+        checks.append(bounds.validate_mv_bound(samples=args.samples, x_max=mv_max, y_max=mv_max, seed=args.seed))
     ok = True
     for chk in checks:
         status = "PASS" if chk.ok else "FAIL"
@@ -256,82 +267,70 @@ def _verify_bounds(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify(args) -> int:
-    target = args.target
-    if target == "thm1":
-        return _verify_thm1(args)
-    if target == "thm2":
-        return _verify_exceptions_target(args, "thm2")
-    if target == "thm3":
-        return _verify_thm3(args)
-    if target == "coj1":
-        return _verify_coj1(args)
-    if target == "coj2":
-        return _verify_exceptions_target(args, "coj2")
-    return _verify_bounds(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="coinprimes", description="Primes outside a two-generator numerical semigroup.")
     sub = p.add_subparsers(dest="command", required=True)
+    pair_flags = argparse.ArgumentParser(add_help=False)
+    pair_flags.add_argument("--a", type=int, required=True)
+    pair_flags.add_argument("--b", type=int, required=True)
+    out_flags = argparse.ArgumentParser(add_help=False)
+    out_flags.add_argument("--format", choices=("table", "csv", "jsonl"), default="table")
+    out_flags.add_argument("--out")
+    out_flags.add_argument("--brute-cap", type=int, default=pistar.BRUTE_FORCE_CAP)
+    a_flags = argparse.ArgumentParser(add_help=False)
+    one_of = a_flags.add_mutually_exclusive_group()
+    one_of.add_argument("--a", type=int)
+    one_of.add_argument("--a-max", type=int)
+    one_of.add_argument("--a-range", type=_a_range_arg, metavar="MIN:MAX")
+    sweep_flags = argparse.ArgumentParser(add_help=False, parents=[out_flags])
+    sweep_flags.add_argument("--b-max", type=int, help="check b <= B_MAX (implies the upto rule)")
+    sweep_flags.add_argument("--b-rule", choices=(verify.B_RULE_UPTO, verify.B_RULE_50A2, verify.B_RULE_EXP))
+    sweep_flags.add_argument("--resume", metavar="PATH", help="JSON-lines checkpoint to append to and reuse")
+    sweep_flags.add_argument("--threads", type=int, default=1)
+    sweep_flags.add_argument("--cross-check", action="store_true")
 
-    pc = sub.add_parser("compute", help="compute pi_star for one coprime pair")
-    pc.add_argument("--a", type=int, required=True)
-    pc.add_argument("--b", type=int, required=True)
+    pc = sub.add_parser("compute", parents=[pair_flags, out_flags], help="compute pi_star for one coprime pair")
     pc.add_argument("--method", choices=sorted(_METHOD_FLAGS), default="fast")
-    pc.add_argument("--format", choices=("table", "csv", "jsonl"), default="table")
-    pc.add_argument("--brute-cap", type=int, default=pistar.BRUTE_FORCE_CAP)
-    pc.add_argument("--out", default=None)
     pc.add_argument("--exact-margins", action="store_true")
     pc.set_defaults(func=cmd_compute)
-
-    pg = sub.add_parser("gaps", help="list the gaps of one pair, primes flagged")
-    pg.add_argument("--a", type=int, required=True)
-    pg.add_argument("--b", type=int, required=True)
+    pg = sub.add_parser("gaps", parents=[pair_flags], help="list the gaps of one pair, primes flagged")
     pg.set_defaults(func=cmd_gaps)
 
     pv = sub.add_parser("verify", help="reproduce one of the finite verification claims")
-    pv.add_argument("target", choices=("thm1", "thm2", "thm3", "coj1", "coj2", "bounds"))
-    pv.add_argument("--a", type=int, default=None)
-    pv.add_argument("--a-max", type=int, default=None)
-    pv.add_argument("--a-range", default=None, metavar="MIN:MAX")
-    pv.add_argument("--b-max", type=int, default=None)
-    pv.add_argument("--b-rule", choices=(verify.B_RULE_UPTO, verify.B_RULE_50A2, verify.B_RULE_EXP), default=verify.B_RULE_50A2)
-    pv.add_argument("--case", choices=("1", "2", "3", "4", "all"), default=None)
-    pv.add_argument("--check", choices=("rs", "ap", "mv", "all"), default=None)
-    pv.add_argument("--x-max", type=float, default=None)
-    pv.add_argument("--samples", type=int, default=None)
-    pv.add_argument("--seed", type=int, default=20260819)
-    pv.add_argument("--format", choices=("table", "csv", "jsonl"), default="table")
-    pv.add_argument("--out", default=None)
-    pv.add_argument("--resume", default=None, metavar="PATH", help="JSON-lines checkpoint to append to and reuse")
-    pv.add_argument("--threads", type=int, default=1)
-    pv.add_argument("--brute-cap", type=int, default=pistar.BRUTE_FORCE_CAP)
-    pv.add_argument("--cross-check", action="store_true")
-    pv.set_defaults(func=cmd_verify)
+    # no abbreviations: a prefix of a flag the target does not take must not resolve to one it does
+    targets = pv.add_subparsers(dest="target", required=True, parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
+    t = targets.add_parser("thm1", parents=[a_flags, sweep_flags])
+    t.add_argument("--case", choices=("1", "2", "3", "4", "all"), default="all")
+    t.add_argument("--samples", type=_positive_int, default=200)
+    t.set_defaults(func=_verify_thm1)
+    for name in ("thm2", "coj2"):
+        targets.add_parser(name, parents=[a_flags, sweep_flags]).set_defaults(func=_verify_exceptions_target)
+    targets.add_parser("thm3", parents=[a_flags]).set_defaults(func=_verify_thm3)
+    t = targets.add_parser("coj1")
+    t.add_argument("--a-max", type=int, default=10)
+    t.add_argument("--b-max", type=int)
+    t.set_defaults(func=_verify_coj1)
+    t = targets.add_parser("bounds")
+    t.add_argument("--check", choices=("rs", "ap", "mv", "all"), default="all")
+    t.add_argument("--x-max", type=float, default=1e7)
+    t.add_argument("--samples", type=_positive_int, default=10**4)
+    t.add_argument("--seed", type=int, default=20260819)
+    t.set_defaults(func=_verify_bounds)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    args.given = {token.partition("=")[0] for token in argv if token.startswith("--")}  # thm1 checks its mode against these
     try:
         return args.func(args)
-    except (NotCoprime, DomainError) as e:
+    except (ValueError, OSError, *_ERROR_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except LimitExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except CheckpointCorrupt as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return next((code for kind, code in _ERROR_EXIT_CODES.items() if isinstance(e, kind)), 2)
 
 
 if __name__ == "__main__":

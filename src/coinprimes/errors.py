@@ -15,3 +15,7 @@ class LimitExceeded(RuntimeError):
 
 class CheckpointCorrupt(RuntimeError):
     """A checkpoint log contains a complete but invalid line."""
+
+
+class MethodDisagreement(RuntimeError):
+    """Two independent counting methods give different counts for one pair."""

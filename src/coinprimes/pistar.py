@@ -47,13 +47,13 @@ def count_gap_primes(chunk: np.ndarray, a: int, b: int, b_inv: int) -> int:
     return int(np.count_nonzero(chunk < b * v0))
 
 
-def pi_star_fast(pair: SemigroupPair, window: int = None) -> PiStarResult:
+def pi_star_fast(pair: SemigroupPair) -> PiStarResult:
     """Stream sieve windows over [2, s] and apply the membership test."""
     if pair.a == 1 or pair.b == 1 or pair.s < 2:
         return _result(pair, 0, 0, METHOD_FAST)
     total = 0
     gapped = 0
-    for chunk in primelib.prime_windows(2, pair.s + 1, window):
+    for chunk in primelib.prime_windows(2, pair.s + 1):
         total += int(chunk.size)
         gapped += count_gap_primes(chunk, pair.a, pair.b, pair.b_inv_mod_a)
     return _result(pair, gapped, total, METHOD_FAST)

@@ -69,13 +69,10 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
     return bits
 
 
-def prime_windows(lo: int, hi: int, window: int = None):
-    """Yield nonempty int64 arrays of the primes in [lo, hi), window by window."""
-    w = window if window else DEFAULT_WINDOW
-    if w < 1:
-        raise ValueError("window must be positive")
-    for start in range(lo, hi, w):
-        end = min(start + w, hi)
+def prime_windows(lo: int, hi: int):
+    """Yield nonempty int64 arrays of the primes in [lo, hi), DEFAULT_WINDOW numbers at a time."""
+    for start in range(lo, hi, DEFAULT_WINDOW):
+        end = min(start + DEFAULT_WINDOW, hi)
         first, bits = _odd_sieve(start, end)
         arr = 2 * np.flatnonzero(bits) + first
         if start <= 2 < end:
@@ -84,11 +81,11 @@ def prime_windows(lo: int, hi: int, window: int = None):
             yield arr
 
 
-def pi(x, window: int = None) -> int:
+def pi(x) -> int:
     """Exact count of primes <= x."""
     if x < 2:
         return 0
-    return sum(arr.size for arr in prime_windows(0, int(x) + 1, window))
+    return sum(arr.size for arr in prime_windows(0, int(x) + 1))
 
 
 _cached = np.empty(0, dtype=np.int64)

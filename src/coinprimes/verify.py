@@ -46,7 +46,7 @@ import numpy as np
 
 from . import bounds, pistar
 from . import primes as primelib
-from .errors import CheckpointCorrupt, DomainError
+from .errors import CheckpointCorrupt, DomainError, MethodDisagreement
 from .semigroup import new_pair
 
 COJ1_STRICT = "strict"
@@ -461,7 +461,7 @@ def _cross_check(pair, pi_star: int, pi_s: int, brute_cap: int):
     if (other.pi_star, other.pi_s) == (pi_star, pi_s) and pair.s <= brute_cap:
         other = pistar.pi_star_bruteforce(pair, cap=brute_cap)
     if (other.pi_star, other.pi_s) != (pi_star, pi_s):
-        raise RuntimeError(
+        raise MethodDisagreement(
             f"method disagreement at ({pair.a},{pair.b}): {other.method} gives (pi_star, pi_s) = "
             f"({other.pi_star}, {other.pi_s}), {pistar.METHOD_RESIDUE} ({pi_star}, {pi_s})"
         )
@@ -635,8 +635,8 @@ def g_poly(a: int) -> int:
     return 1000 * a - 1001
 
 
-def case1_sample_points(n: int = 200, lo: int = 60001, hi: int = 10_000_000) -> list:
-    return bounds.log_spaced_ints(lo, hi, n)
+def case1_sample_points(n: int = 200) -> list:
+    return bounds.log_spaced_ints(60001, 10_000_000, n)
 
 
 def _delta_scan(d: Fraction, a, s_of_a, threshold: Fraction):

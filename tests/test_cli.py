@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,8 +9,8 @@ import sys
 import pytest
 
 import coinprimes
-from coinprimes import verify
-from coinprimes.cli import main
+from coinprimes import pistar, verify
+from coinprimes.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -47,6 +48,15 @@ def test_compute_csv_and_jsonl(capsys):
     assert rc == 0
     obj = json.loads(out.splitlines()[0])
     assert obj["pi_star"] == 2 and obj["ms"] == 0
+
+
+def test_compute_all_methods_compare_pi_s(capsys, monkeypatch):
+    """Methods that agree on pi_star but not on pi(s) disagree."""
+    brute = pistar.pi_star_bruteforce
+    monkeypatch.setattr(pistar, "pi_star_bruteforce", lambda *a, **k: dataclasses.replace(brute(*a, **k), pi_s=10))
+    rc, out, _ = run(capsys, "compute", "--a", "5", "--b", "7", "--method", "all")
+    assert rc == 1
+    assert out == "FAIL: methods disagree on <5,7> (pi_star, pi_s): fast=(5, 9), residue-sum=(5, 9), brute-force=(5, 10)\n"
 
 
 def test_compute_exact_margins(capsys):
@@ -112,6 +122,110 @@ def test_verify_bounds_rs(capsys):
     rc, out, _ = run(capsys, "verify", "bounds", "--check", "rs", "--x-max", "1e5")
     assert rc == 0
     assert "rosser-schoenfeld" in out
+
+
+# the value each verify flag is given below; None for a switch
+FLAG_VALUES = {
+    "--a": "3",
+    "--a-max": "4",
+    "--a-range": "3:4",
+    "--b-max": "10",
+    "--b-rule": "upto",
+    "--case": "4",
+    "--check": "rs",
+    "--x-max": "1e5",
+    "--samples": "5",
+    "--seed": "1",
+    "--format": "csv",
+    "--out": "unused.csv",
+    "--resume": "unused.jsonl",
+    "--threads": "1",
+    "--brute-cap": "100",
+    "--cross-check": None,
+}
+A_FLAGS = ("--a", "--a-max", "--a-range")
+SWEEP_FLAGS = ("--b-max", "--b-rule", "--format", "--out", "--resume", "--threads", "--brute-cap", "--cross-check")
+READS = {
+    "thm1": A_FLAGS + SWEEP_FLAGS + ("--case", "--samples"),
+    "thm2": A_FLAGS + SWEEP_FLAGS,
+    "coj2": A_FLAGS + SWEEP_FLAGS,
+    "thm3": A_FLAGS,
+    "coj1": ("--a-max", "--b-max"),
+    "bounds": ("--check", "--x-max", "--samples", "--seed"),
+}
+
+
+def _flag(flag):
+    return [flag] if FLAG_VALUES[flag] is None else [flag, FLAG_VALUES[flag]]
+
+
+def test_each_target_takes_only_the_flags_it_reads(capsys):
+    accepted = set()
+    for target in READS:
+        for flag in FLAG_VALUES:
+            _, extras = build_parser().parse_known_args(["verify", target] + _flag(flag))
+            if not extras:
+                accepted.add((target, flag))
+    assert len(accepted) == 44
+    assert accepted == {(target, flag) for target, flags in READS.items() for flag in flags}
+    for target, flags in READS.items():
+        for flag in set(FLAG_VALUES) - set(flags):
+            rc, out, err = run(capsys, "verify", target, *_flag(flag))
+            assert (rc, out) == (2, ""), (target, flag)
+            assert "unrecognized arguments" in err
+
+
+def test_thm1_mode_rejects_the_other_modes_flags(capsys):
+    for flag in SWEEP_FLAGS:
+        rc, out, err = run(capsys, "verify", "thm1", "--case", "4", *_flag(flag))
+        assert (rc, out) == (2, ""), flag
+        assert f"thm1 case mode does not read {flag}" in err
+    for flag in ("--case", "--samples"):
+        rc, out, err = run(capsys, "verify", "thm1", "--a", "3", "--b-max", "30", *_flag(flag))
+        assert (rc, out) == (2, ""), flag
+        assert f"thm1 grid mode does not read {flag}" in err
+
+
+def test_b_max_bounds_b_for_every_sweep_target(capsys):
+    rc, out, _ = run(capsys, "verify", "coj2", "--a", "3", "--b-max", "1000")
+    assert rc == 0
+    assert out.splitlines()[0] == "coj2: checked 665 pairs, a in [3,3]"
+    assert run(capsys, "verify", "coj2", "--a", "3", "--b-rule", "upto", "--b-max", "1000")[1] == out
+    rc, out, _ = run(capsys, "verify", "thm1", "--a", "3", "--b-max", "30")
+    assert (rc, out.splitlines()[0]) == (0, "thm1: checked 18 pairs, a in [3,3]")
+    for rule in (verify.B_RULE_50A2, verify.B_RULE_EXP):
+        rc, out, err = run(capsys, "verify", "thm2", "--a", "3", "--b-rule", rule, "--b-max", "1000")
+        assert (rc, out) == (2, "") and "upto" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify coj2 --a 3 --a-max 20",
+        "verify thm3 --a-range 3:4 --a 3",
+        "verify thm1 --case 4 --samples 0",
+        "verify bounds --samples 0",
+        "verify bounds --samples -1",
+    ],
+)
+def test_rejected_flag_combinations(capsys, argv):
+    """Flags each target reads, in combinations or values it rejects (coj1 --a 3 is in the table above)."""
+    rc, out, err = run(capsys, *argv.split())
+    assert (rc, out) == (2, "")
+    assert "error:" in err
+
+
+def test_cross_check_disagreement_exits_1(capsys, monkeypatch):
+    fast = pistar.pi_star_fast
+
+    def off_by_one(pair):
+        r = fast(pair)
+        return dataclasses.replace(r, pi_star=r.pi_star + 1)
+
+    monkeypatch.setattr(pistar, "pi_star_fast", off_by_one)
+    rc, out, err = run(capsys, "verify", "coj2", "--a", "3", "--b-max", "10", "--cross-check")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: method disagreement at (3,4)") and "Traceback" not in err
 
 
 def test_bad_inputs(capsys):

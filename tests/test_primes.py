@@ -46,12 +46,15 @@ def test_sieve_segment_small_windows():
         assert segment_primes(lo, hi) == reference_primes(lo, hi), (lo, hi)
 
 
-def test_prime_windows():
-    for lo, hi in WINDOWS:
-        for window in (None, 1, 2, 3, 7, 64):
-            arrays = list(primes.prime_windows(lo, hi, window))
-            assert all(a.size and a.dtype == np.int64 for a in arrays)
+def test_prime_windows(monkeypatch):
+    for window in (primes.DEFAULT_WINDOW, 1, 2, 3, 7, 64):
+        monkeypatch.setattr(primes, "DEFAULT_WINDOW", window)
+        for lo, hi in WINDOWS:
+            arrays = list(primes.prime_windows(lo, hi))
+            assert all(a.size and a.dtype == np.int64 and a[-1] - a[0] < window for a in arrays)
             assert [int(p) for a in arrays for p in a] == reference_primes(lo, hi), (lo, hi, window)
+    monkeypatch.undo()
+    for lo, hi in WINDOWS:
         assert primes.pi(hi - 1) == len(reference_primes(0, hi)), hi
 
 
@@ -71,11 +74,12 @@ def test_pi_point_values():
     assert primes.pi(10**6) == 78498
 
 
-def test_pi_window_size_independent():
+def test_pi_window_size_independent(monkeypatch):
     x = 10**5
     want = primes.pi(x)
     for window in (1 << 10, 1 << 14, 1 << 22):
-        assert primes.pi(x, window=window) == want
+        monkeypatch.setattr(primes, "DEFAULT_WINDOW", window)
+        assert primes.pi(x) == want
 
 
 def test_pi_monotone():
