@@ -9,6 +9,12 @@ finite computation, the verification claims behind the headline results
 (see verify module docstring for the claim catalog).
 """
 
+import os
+
+# no routine of the package calls BLAS, so OpenBLAS's start-up thread pool only burns cpu; a value
+# the caller set wins, and it takes effect only if numpy is not imported yet
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .arith import coprime_count_up_to, euler_phi, factor, mobius, omega
 from .bounds import (
     ap_fixed_range_bounds,

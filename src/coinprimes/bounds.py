@@ -352,25 +352,40 @@ def validate_rs_envelope(x_max: int = 10_000_000, points: int = 200) -> Envelope
     return EnvelopeCheck("rosser-schoenfeld", 2 * len(xs), violations)
 
 
-def validate_ap_envelope(m_max: int = 50, x_max: int = 10_000_000, points: int = 20) -> EnvelopeCheck:
-    """Check the fixed-range progression envelope for every m <= m_max, coprime l.
+def _ap_class_counts(p: np.ndarray, xs_of: dict, m_max: int) -> dict:
+    """{m: counts} with counts[i, l] = #{primes q in p : q <= xs_of[m][i], q = l (mod m)}, p ascending.
 
-    No sort: the primes between consecutive x are counted per class with one
-    bincount each, and a running sum gives every class count at every x.
+    One residue pass per modulus M = m * (m_max // m), the largest multiple of m
+    up to m_max: its class counts, taken at the union of the x points of every m
+    it serves, fold into those of each such m. No sort: the primes between
+    consecutive x are counted per class with one bincount each, and a running
+    sum gives every class count at every x.
     """
-    p = primelib.primes_array(x_max)
+    # a uint32 modulus is cheaper than an int64 one; p itself is searched, as the int64 x points are
+    small = p.astype(np.uint32) if p.size and p[-1] <= np.iinfo(np.uint32).max else p
+    served = {}
+    for m in xs_of:
+        served.setdefault(m * (m_max // m), []).append(m)
+    out = {}
+    for big, ms in served.items():
+        xs = np.unique(np.concatenate([xs_of[m] for m in ms]))
+        ends = np.searchsorted(p, xs, side="right")
+        residues = small[: ends[-1]] % big
+        by_x = np.cumsum([np.bincount(residues[i0:i1], minlength=big) for i0, i1 in zip([0, *ends[:-1]], ends)], axis=0)
+        for m in ms:
+            out[m] = by_x[np.searchsorted(xs, xs_of[m])].reshape(-1, big // m, m).sum(axis=1)
+    return out
+
+
+def validate_ap_envelope(m_max: int = 50, x_max: int = 10_000_000, points: int = 20) -> EnvelopeCheck:
+    """Check the fixed-range progression envelope for every m <= m_max with 50m^2 <= x_max, coprime l."""
+    xs_of = {m: log_spaced_ints(50 * m * m, x_max, points) for m in range(1, m_max + 1) if 50 * m * m <= x_max}
+    by_m = _ap_class_counts(primelib.primes_array(x_max), xs_of, m_max)
     violations = []
     checked = 0
-    for m in range(1, m_max + 1):
-        lo_x = 50 * m * m
-        if lo_x > x_max:
-            break
-        xs = log_spaced_ints(lo_x, x_max, points)
-        ends = np.searchsorted(p, xs, side="right").tolist()
-        slices = zip([0] + ends[:-1], ends)
-        by_x = np.cumsum([np.bincount(p[i0:i1] % m, minlength=m) for i0, i1 in slices], axis=0)
+    for m, xs in xs_of.items():
         ls = [l for l in range(m) if math.gcd(l, m) == 1]
-        counts = by_x[:, ls].T  # row l, column x
+        counts = by_m[m][:, ls].T  # row l, column x
         env = [ap_fixed_range_bounds(x, m) for x in xs]
         lows, highs = np.array(env).T
         nx = len(xs)

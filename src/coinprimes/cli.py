@@ -13,6 +13,8 @@ locale-independent and, for fixed flags, byte-stable across thread counts.
 """
 
 import argparse
+import contextlib
+import os
 import sys
 from functools import partial
 
@@ -35,24 +37,33 @@ _METHOD_FLAGS = {
 }
 
 
-def _open_out(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+@contextlib.contextmanager
+def _records_out(args):
+    """A function that writes record columns as the flags ask, or None when no records go out.
 
-
-def _emit_records(cols, fmt, path):
-    """Write record columns as "csv" (verify.CSV_HEADER, then one row each) or "jsonl" to path (stdout when None)."""
+    Records go out as --format csv (CSV_HEADER first) or jsonl, to --out or stdout, and as CSV
+    to --out under --format table. Lines are built and written a bounded slice at a time
+    (verify.write_lines). --out gets its lines through a sibling file that replaces it only
+    when the block exits cleanly, so a run that fails leaves no partial output there.
+    """
+    if args.format == "table" and not args.out:
+        yield None
+        return
+    fmt, path = "csv" if args.format == "table" else args.format, args.out
     lines = verify.csv_lines if fmt == "csv" else verify.json_lines
-    fh, close = _open_out(path)
+    fh = sys.stdout if path is None else open(path + ".part", "w", encoding="utf-8", newline="")
     try:
         if fmt == "csv":
             fh.write(verify.CSV_HEADER + "\n")
-        for i in range(0, len(cols.a), verify.BLOCK_ROWS):
-            fh.write("\n".join(lines(cols.take(slice(i, i + verify.BLOCK_ROWS)))) + "\n")
-    finally:
-        if close:
+        yield partial(verify.write_lines, fh, lines)
+    except BaseException:
+        if path is not None:
             fh.close()
+            os.remove(fh.name)
+        raise
+    if path is not None:
+        fh.close()
+        os.replace(fh.name, path)
 
 
 def _compute_one(pair, method, brute_cap):
@@ -75,8 +86,9 @@ def cmd_compute(args) -> int:
         for r in results:
             ratio = "n/a" if r.ratio_to_pi_s is None else format(r.ratio_to_pi_s, ".6g")
             print(f"pair={pair} s={pair.s} pi_star={r.pi_star} pi_s={r.pi_s} ratio={ratio} method={r.method}")
-    else:
-        _emit_records(verify.pair_columns(args.a, args.b, pair.s, r0.pi_star, r0.pi_s), args.format, args.out)
+    with _records_out(args) as write:
+        if write:
+            write(verify.pair_columns(args.a, args.b, pair.s, r0.pi_star, r0.pi_s))
     if args.exact_margins and min(args.a, args.b) >= 3 and pair.s >= 2:
         rhs = bounds.thm2_rhs(min(args.a, args.b), pair.s)
         holds = bounds.pi_star_exceeds_thm2_rhs(r0.pi_star, min(args.a, args.b), pair.s, rhs)
@@ -126,7 +138,7 @@ def _a_bounds(args, default_lo, default_hi):
 
 
 def _run_sweep(args, lo, hi):
-    """Sweep a in [lo, hi] as the flags ask; records go out as --format, or as CSV to --out."""
+    """Sweep a in [lo, hi] as the flags ask, writing the records one a at a time (_records_out)."""
     if args.b_max is not None and args.b_rule not in (None, verify.B_RULE_UPTO):
         raise ValueError(f"--b-max bounds b by the upto rule, so it does not go with --b-rule {args.b_rule}")
     rule = verify.B_RULE_UPTO if args.b_max is not None else args.b_rule or verify.B_RULE_50A2
@@ -140,12 +152,8 @@ def _run_sweep(args, lo, hi):
         checkpoint_path=args.resume,
         brute_cap=args.brute_cap,
     )
-    result = verify.sweep(cfg)
-    if args.format != "table":
-        _emit_records(result.columns, args.format, args.out)
-    elif args.out:
-        _emit_records(result.columns, "csv", args.out)
-    return result
+    with _records_out(args) as write:
+        return verify.sweep(cfg, write)
 
 
 def _verify_exceptions_target(args) -> int:
@@ -174,9 +182,10 @@ def _verify_exceptions_target(args) -> int:
 
 
 def _verify_thm1(args) -> int:
-    """Grid mode when an a-flag is given, reading the sweep flags; else case mode, reading --case and --samples."""
+    """Grid mode when an a-flag is given, reading the sweep flags; else case mode, reading --case (and --samples)."""
     grid = args.a is not None or args.a_max is not None or args.a_range is not None
-    stray = args.given & {"--case", "--samples"} if grid else args.given - {"--case", "--samples"}
+    case_flags = {"--case", "--samples"} if args.case in ("1", "all") else {"--case"}
+    stray = args.given & {"--case", "--samples"} if grid else args.given - case_flags
     if stray:
         raise ValueError(f"thm1 {'grid' if grid else 'case'} mode does not read {', '.join(sorted(stray))}")
     if grid:

@@ -19,10 +19,12 @@ half-bound scan of coj1, thm1 case 4 and the thm1 grid) is one call of
 sweep, and _summarize is the one place verdict columns become pair lists;
 thm1 case 3, which counts only the gap primes up to s/20, calls the kernel
 itself. The sweep carries records as columns (RecordColumns), BLOCK_ROWS
-values of b of one a at a time, from the kernel to the output:
-_verdict_columns decides every verdict of a block at once, csv_lines and
-json_lines build its output lines from one template each, and only a caller
-that reads SweepResult.records gets one VerificationRecord per pair. A
+values of b of one a at a time, from the kernel to the verdicts:
+_verdict_columns decides every verdict of a block at once. Each a, once all
+of its rows are in, goes to the caller's on_a in ascending order of a;
+csv_lines and json_lines build output and checkpoint lines from one template
+each, _LINE_ROWS rows at a time (write_lines), and only a caller that reads
+SweepResult.records gets one VerificationRecord per pair. A
 checkpoint is reused a block of lines at a time: each line must equal, byte
 for byte, the canonical line that json_lines derives from the counts in its
 head; any other complete line is parsed, checked and re-derived with the
@@ -36,7 +38,7 @@ import json
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -79,10 +81,11 @@ CHECKPOINT_FIELDS = (
     "ms",
 )
 
-# rows per block, from kernel to output: the most b values of one sweep task, the b values of one
-# kernel block of iter_pair_stats (each block splits its prime table into the classes mod a once,
-# and the kernel's working arrays are O(rows)), and the output lines built and written at a time
+# rows per block: the most b values of one sweep task and of one kernel block of iter_pair_stats (each
+# block splits its prime table into the classes mod a once, and the kernel's working arrays are O(rows))
 BLOCK_ROWS = 1 << 16
+# rows per slice of output lines (write_lines): the most CSV or JSON lines alive at a time
+_LINE_ROWS = 1 << 12
 
 CASE1_DELTA = Fraction(1, 10)
 CASE1_THRESHOLD = Fraction("0.0445")
@@ -212,6 +215,12 @@ def json_lines(cols: RecordColumns) -> list:
     for i in np.flatnonzero(np.isnan(cols.thm2_rhs)).tolist():
         rhs[i] = "null"
     return _lines(_JSON_LINE, cols, rhs, _tails(cols, _JSON_TAILS))
+
+
+def write_lines(fh, lines, cols: RecordColumns):
+    """Write lines(cols) (csv_lines or json_lines) to fh, each with its newline, _LINE_ROWS rows at a time."""
+    for i in range(0, len(cols.a), _LINE_ROWS):
+        fh.write("\n".join(lines(cols.take(slice(i, i + _LINE_ROWS)))) + "\n")
 
 
 def _record_row(rec: VerificationRecord) -> RecordColumns:
@@ -754,29 +763,40 @@ def _summarize(cols: RecordColumns) -> SweepSummary:
     )
 
 
-def sweep(cfg: SweepConfig) -> SweepResult:
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported (and multiprocessing with it) only when a pool runs."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
+
+
+def sweep(cfg: SweepConfig, on_a=None) -> SweepResult:
     """Run the grid, appending finished blocks to the checkpoint as they land.
 
-    Output order is deterministic: records are sorted by (a, b) regardless of
-    worker count or resume state. Checkpointed pairs of the grid are reused, not
-    recomputed. A task is up to BLOCK_ROWS pending values of b of one a; a pool
-    gets about four tasks per worker, the tasks of the largest a first. The
-    reused rows and the new blocks are put in (a, b) order once, at the end.
+    Checkpointed pairs of the grid are reused, not recomputed. A task is up to
+    BLOCK_ROWS pending values of b of one a; a pool gets about four tasks per
+    worker, the tasks of the largest a first. An a is final once its reused rows
+    and all its new blocks are in: they are then put in b order, handed to
+    on_a(columns) when it is given, and kept. The a values are final in
+    ascending order, whatever the worker count or resume state, so the calls of
+    on_a, and SweepResult.columns (their concatenation), are in (a, b) order.
     """
     grid = grid_pairs(cfg)
     done = load_checkpoint(cfg.checkpoint_path) if cfg.checkpoint_path else _concat([])
-    reused = np.zeros(len(done.a), dtype=bool)
-    pending = {}
+    parts, pending = {}, {}  # per a: its blocks so far (the reused rows first), and the b values to compute
     for a, bs in grid.items():
         lo, hi = np.searchsorted(done.a, [a, a + 1])
-        reused[lo:hi] = np.isin(done.b[lo:hi], bs)
-        pending[a] = bs[~np.isin(bs, done.b[lo:hi])]
-    blocks = [done.take(reused)]
+        have = done.take(slice(lo, hi))
+        parts[a] = [have.take(np.isin(have.b, bs))]
+        pending[a] = bs[~np.isin(bs, have.b)]
+    done = have = None  # have is a view of done: let both go once the reused rows are copied out
     workers = min(cfg.workers, os.cpu_count() or 1)
     rows = BLOCK_ROWS
     if workers > 1:  # a few tasks per worker even out their costs, which grow with a and b
         rows = max(1, min(rows, -(-sum(bs.size for bs in pending.values()) // (4 * workers))))
     tasks = [(a, bs[i : i + rows]) for a, bs in pending.items() for i in range(0, bs.size, rows)]
+    left = Counter(a for a, _ in tasks)  # tasks of each a still out
+    finals = []  # the columns of each final a, ascending
 
     if cfg.checkpoint_path:
         _trim_torn_tail(cfg.checkpoint_path)
@@ -785,27 +805,40 @@ def sweep(cfg: SweepConfig) -> SweepResult:
         ckpt = None
     try:
 
-        def emit(block):
-            blocks.append(block)
-            if ckpt is not None:
-                ckpt.write("\n".join(json_lines(block)) + "\n")
-                ckpt.flush()
+        def flush():
+            while parts and left[a := next(iter(parts))] == 0:  # parts holds the a not yet final, ascending
+                cols = _concat(parts.pop(a))
+                cols = cols.take(np.argsort(cols.b, kind="stable"))
+                if on_a is not None:
+                    on_a(cols)
+                finals.append(cols)
 
+        def land(a, block):
+            if ckpt is not None:
+                write_lines(ckpt, json_lines, block)
+                ckpt.flush()
+            parts[a].append(block)
+            left[a] -= 1
+            flush()
+
+        flush()  # the a values with nothing to compute, up to the first with tasks
         # the pool forks all of its processes at the first submit: never more than there is work and cpus for
         workers = min(workers, len(tasks))
         if workers <= 1:
             for a, bs in tasks:
-                emit(_sweep_chunk(a, bs, cfg.cross_check, cfg.brute_cap))
+                land(a, _sweep_chunk(a, bs, cfg.cross_check, cfg.brute_cap))
         else:
+            from concurrent.futures import as_completed
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_sweep_chunk, a, bs, cfg.cross_check, cfg.brute_cap) for a, bs in reversed(tasks)
-                ]
+                futures = {
+                    pool.submit(_sweep_chunk, a, bs, cfg.cross_check, cfg.brute_cap): a for a, bs in reversed(tasks)
+                }
                 for fut in as_completed(futures):
-                    emit(fut.result())
+                    land(futures[fut], fut.result())
     finally:
         if ckpt is not None:
             ckpt.close()
 
-    cols = _sorted_unique(_concat(blocks))
+    cols = _concat(finals)
     return SweepResult(cols, _summarize(cols))

@@ -50,6 +50,16 @@ def test_compute_csv_and_jsonl(capsys):
     assert obj["pi_star"] == 2 and obj["ms"] == 0
 
 
+def test_compute_table_writes_csv_to_out(tmp_path, capsys):
+    """Under --format table, the table goes to stdout and the CSV that --format csv prints goes to --out."""
+    out = tmp_path / "c.csv"
+    rc, table, _ = run(capsys, "compute", "--a", "7", "--b", "100", "--out", str(out))
+    assert rc == 0 and table.startswith("pair=<7,100> ")
+    rc, csv, _ = run(capsys, "compute", "--a", "7", "--b", "100", "--format", "csv")
+    assert rc == 0
+    assert out.read_text() == csv
+
+
 def test_compute_all_methods_compare_pi_s(capsys, monkeypatch):
     """Methods that agree on pi_star but not on pi(s) disagree."""
     brute = pistar.pi_star_bruteforce
@@ -204,6 +214,9 @@ def test_b_max_bounds_b_for_every_sweep_target(capsys):
         "verify coj2 --a 3 --a-max 20",
         "verify thm3 --a-range 3:4 --a 3",
         "verify thm1 --case 4 --samples 0",
+        "verify thm1 --case 2 --samples 5",
+        "verify thm1 --case 3 --samples 5",
+        "verify thm1 --case 4 --samples 5",
         "verify bounds --samples 0",
         "verify bounds --samples -1",
     ],
@@ -226,6 +239,44 @@ def test_cross_check_disagreement_exits_1(capsys, monkeypatch):
     rc, out, err = run(capsys, "verify", "coj2", "--a", "3", "--b-max", "10", "--cross-check")
     assert (rc, out) == (1, "")
     assert err.startswith("error: method disagreement at (3,4)") and "Traceback" not in err
+
+
+def test_thm1_samples_is_read_by_case_1_and_all(capsys):
+    for case in ("1", "all"):
+        rc, out, _ = run(capsys, "verify", "thm1", "--case", case, "--samples", "5")
+        assert rc == 0 and out.startswith("PASS: thm1 case 1 ("), case
+
+
+def test_failed_runs_leave_no_out_file(tmp_path, capsys, monkeypatch):
+    """A corrupt checkpoint (exit 4) or a --cross-check disagreement (exit 1) writes no --out file, partial or not."""
+    out, bad = tmp_path / "out.csv", tmp_path / "bad.jsonl"
+    bad.write_text("garbage\n")
+    argv = ("verify", "coj2", "--a-max", "5", "--b-max", "40", "--format", "csv", "--out", str(out))
+    assert run(capsys, *argv, "--resume", str(bad))[0] == 4
+    fast = pistar.pi_star_fast
+    # a = 3 and 4 agree and are written before a = 5 disagrees
+    off = lambda pair: dataclasses.replace(fast(pair), pi_star=-1) if pair.a == 5 else fast(pair)  # noqa: E731
+    monkeypatch.setattr(pistar, "pi_star_fast", off)
+    assert run(capsys, *argv, "--cross-check")[0] == 1
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
+def test_verify_runs_one_sweep_with_every_pair(tmp_path, capsys, monkeypatch):
+    """The CLI writes through verify.sweep, once per run, and its result still holds every record."""
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    real = verify.sweep
+    monkeypatch.setattr(verify, "sweep", spy)
+    out = tmp_path / "out.jsonl"
+    rc, text, _ = run(capsys, "verify", "coj2", "--a-max", "6", "--format", "jsonl", "--out", str(out))
+    assert rc == 0 and text.startswith("coj2: checked 2290 pairs, a in [3,6]\n")
+    assert len(results) == 1
+    written = [(obj["a"], obj["b"]) for obj in map(json.loads, out.read_text().splitlines())]
+    assert written == [(r.a, r.b) for r in results[0].records] and len(written) == 2290
 
 
 def test_bad_inputs(capsys):
@@ -287,12 +338,13 @@ def test_grid_resume_csv_digest(tmp_path, capsys):
 
 
 def test_import_leaves_mpmath_unloaded():
-    """mpmath is imported only when a guard escalates to intervals, not by importing the package."""
+    """mpmath is imported only when a guard escalates to intervals, and multiprocessing only when a sweep
+    runs a pool, not by importing the package."""
     src = os.path.dirname(os.path.dirname(coinprimes.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, coinprimes, coinprimes.cli; print('mpmath' in sys.modules)"
+    code = "import sys, coinprimes, coinprimes.cli; print('mpmath' in sys.modules, 'multiprocessing' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out == "False\n"
+    assert out == "False False\n"
 
 
 def test_csv_out_threads_identical(tmp_path, capsys):

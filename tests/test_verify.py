@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -546,28 +547,70 @@ def test_sweep_checkpoint_resume(tmp_path):
 
 
 def test_tiny_blocks_keep_every_byte(tmp_path, monkeypatch):
-    """BLOCK_ROWS = 5 cuts tasks, kernel blocks and output slices inside each a: fresh, pooled and resumed CSVs are unchanged."""
-    out = tmp_path / "out.csv"
-    argv = ["verify", "coj2", "--a-max", "8", "--b-rule", "upto", "--b-max", "60", "--format", "csv", "--out", str(out)]
+    """BLOCK_ROWS = 3 and line slices of 3 rows cut tasks, kernel blocks and output inside each a:
+    fresh, pooled and resumed CSV and JSONL outputs are unchanged."""
 
-    def csv(*extra):
+    def written(fmt, *extra):
+        out = tmp_path / f"out.{fmt}"
         out.unlink(missing_ok=True)
+        argv = ["verify", "coj2", "--a-max", "8", "--b-max", "60", "--format", fmt, "--out", str(out)]
         assert main(argv + list(extra)) == 0
         return out.read_bytes()
 
-    want = csv()
-    monkeypatch.setattr(verify, "BLOCK_ROWS", 5)
-    assert csv() == want
+    want = {fmt: written(fmt) for fmt in ("csv", "jsonl")}
+    monkeypatch.setattr(verify, "BLOCK_ROWS", 3)
+    monkeypatch.setattr(verify, "_LINE_ROWS", 3)
     monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
-    _InlineExecutor.sizes = []
-    assert csv("--threads", "4") == want
-    assert _InlineExecutor.sizes == [4]
-    ck = tmp_path / "ck.jsonl"
-    assert csv("--resume", str(ck)) == want
-    lines = ck.read_text().splitlines(keepends=True)
-    # keep a = 5 up to two lines into its second block, tear the next line, and resume
-    cut = [i for i, line in enumerate(lines) if '"a": 5,' in line][7]
-    ck.write_text("".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2])
-    assert csv("--resume", str(ck)) == want
-    assert sorted(ck.read_text().splitlines(keepends=True)) == sorted(lines)
+    for fmt in want:
+        assert written(fmt) == want[fmt]
+        _InlineExecutor.sizes = []
+        assert written(fmt, "--threads", "4") == want[fmt]
+        assert _InlineExecutor.sizes == [4]
+        ck = tmp_path / f"ck.{fmt}.jsonl"
+        assert written(fmt, "--resume", str(ck)) == want[fmt]
+        lines = ck.read_text().splitlines(keepends=True)
+        # keep a = 5 up to two lines into its third block, tear the next line, and resume
+        cut = [i for i, line in enumerate(lines) if '"a": 5,' in line][8]
+        ck.write_text("".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2])
+        assert written(fmt, "--resume", str(ck)) == want[fmt]
+        assert sorted(ck.read_text().splitlines(keepends=True)) == sorted(lines)
+        # the same resume through the pool: the reused rows of a = 5 merge with its new blocks by b
+        ck.write_text("".join(lines[:cut]))
+        assert written(fmt, "--resume", str(ck), "--threads", "4") == want[fmt]
+
+
+def test_sweep_hands_out_each_a_once_in_order(monkeypatch):
+    """on_a gets every a of the grid once, ascending, each in b order, serially and from a pool that
+    finishes the largest a first; result.columns is their concatenation."""
+    cfg = _small_cfg(a_max=8, b_max=60)
+    monkeypatch.setattr(verify, "BLOCK_ROWS", 3)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    for workers in (1, 4):
+        blocks = []
+        res = verify.sweep(dataclasses.replace(cfg, workers=workers), blocks.append)
+        assert [int(b.a[0]) for b in blocks] == sorted(verify.grid_pairs(cfg))
+        for b in blocks:
+            assert (b.a == b.a[0]).all() and (np.diff(b.b) > 0).all()
+        assert all(np.array_equal(x, y) for x, y in zip(verify._concat(blocks), res.columns))
+
+
+def test_output_lines_are_built_one_slice_at_a_time(tmp_path, monkeypatch):
+    """No call of csv_lines or json_lines, for the output or the checkpoint, gets more than _LINE_ROWS rows."""
+    sizes = {}
+    for name in ("csv_lines", "json_lines"):
+
+        def spy(cols, name=name, real=getattr(verify, name)):
+            sizes.setdefault(name, []).append(len(cols.a))
+            return real(cols)
+
+        monkeypatch.setattr(verify, name, spy)
+    out, ck = tmp_path / "out.csv", tmp_path / "ck.jsonl"
+    # a = 11, b <= 9000: 8,172 rows, two full slices of lines and a part
+    argv = ["verify", "coj2", "--a", "11", "--b-max", "9000", "--resume", str(ck), "--format", "csv", "--out", str(out)]
+    assert main(argv) == 0
+    n = len(ck.read_text().splitlines())
+    assert n == len(out.read_text().splitlines()) - 1 == 8172
+    for name in ("csv_lines", "json_lines"):
+        assert sum(sizes[name]) == n and max(sizes[name]) == verify._LINE_ROWS, name
