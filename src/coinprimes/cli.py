@@ -13,8 +13,6 @@ locale-independent and, for fixed flags, byte-stable across thread counts.
 """
 
 import argparse
-import contextlib
-import os
 import sys
 from functools import partial
 
@@ -37,33 +35,21 @@ _METHOD_FLAGS = {
 }
 
 
-@contextlib.contextmanager
-def _records_out(args):
-    """A function that writes record columns as the flags ask, or None when no records go out.
-
-    Records go out as --format csv (CSV_HEADER first) or jsonl, to --out or stdout, and as CSV
-    to --out under --format table. Lines are built and written a bounded slice at a time
-    (verify.write_lines). --out gets its lines through a sibling file that replaces it only
-    when the block exits cleanly, so a run that fails leaves no partial output there.
-    """
+def _emit_records(args, cols):
+    """Write record columns as the flags ask: as --format csv (CSV_HEADER first) or jsonl, to --out or
+    stdout, and as CSV to --out under --format table. Lines are built and written a bounded slice at a
+    time (verify.write_lines)."""
     if args.format == "table" and not args.out:
-        yield None
         return
-    fmt, path = "csv" if args.format == "table" else args.format, args.out
-    lines = verify.csv_lines if fmt == "csv" else verify.json_lines
-    fh = sys.stdout if path is None else open(path + ".part", "w", encoding="utf-8", newline="")
+    fmt = "csv" if args.format == "table" else args.format
+    fh = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     try:
         if fmt == "csv":
             fh.write(verify.CSV_HEADER + "\n")
-        yield partial(verify.write_lines, fh, lines)
-    except BaseException:
-        if path is not None:
+        verify.write_lines(fh, verify.csv_lines if fmt == "csv" else verify.json_lines, cols)
+    finally:
+        if args.out is not None:
             fh.close()
-            os.remove(fh.name)
-        raise
-    if path is not None:
-        fh.close()
-        os.replace(fh.name, path)
 
 
 def _compute_one(pair, method, brute_cap):
@@ -86,9 +72,7 @@ def cmd_compute(args) -> int:
         for r in results:
             ratio = "n/a" if r.ratio_to_pi_s is None else format(r.ratio_to_pi_s, ".6g")
             print(f"pair={pair} s={pair.s} pi_star={r.pi_star} pi_s={r.pi_s} ratio={ratio} method={r.method}")
-    with _records_out(args) as write:
-        if write:
-            write(verify.pair_columns(args.a, args.b, pair.s, r0.pi_star, r0.pi_s))
+    _emit_records(args, verify.pair_columns(args.a, args.b, pair.s, r0.pi_star, r0.pi_s))
     if args.exact_margins and min(args.a, args.b) >= 3 and pair.s >= 2:
         rhs = bounds.thm2_rhs(min(args.a, args.b), pair.s)
         holds = bounds.pi_star_exceeds_thm2_rhs(r0.pi_star, min(args.a, args.b), pair.s, rhs)
@@ -138,7 +122,7 @@ def _a_bounds(args, default_lo, default_hi):
 
 
 def _run_sweep(args, lo, hi):
-    """Sweep a in [lo, hi] as the flags ask, writing the records one a at a time (_records_out)."""
+    """Sweep a in [lo, hi] as the flags ask, then write its records (_emit_records)."""
     if args.b_max is not None and args.b_rule not in (None, verify.B_RULE_UPTO):
         raise ValueError(f"--b-max bounds b by the upto rule, so it does not go with --b-rule {args.b_rule}")
     rule = verify.B_RULE_UPTO if args.b_max is not None else args.b_rule or verify.B_RULE_50A2
@@ -152,8 +136,9 @@ def _run_sweep(args, lo, hi):
         checkpoint_path=args.resume,
         brute_cap=args.brute_cap,
     )
-    with _records_out(args) as write:
-        return verify.sweep(cfg, write)
+    result = verify.sweep(cfg)
+    _emit_records(args, result.columns)
+    return result
 
 
 def _verify_exceptions_target(args) -> int:

@@ -20,10 +20,9 @@ sweep, and _summarize is the one place verdict columns become pair lists;
 thm1 case 3, which counts only the gap primes up to s/20, calls the kernel
 itself. The sweep carries records as columns (RecordColumns), BLOCK_ROWS
 values of b of one a at a time, from the kernel to the verdicts:
-_verdict_columns decides every verdict of a block at once. Each a, once all
-of its rows are in, goes to the caller's on_a in ascending order of a;
-csv_lines and json_lines build output and checkpoint lines from one template
-each, _LINE_ROWS rows at a time (write_lines), and only a caller that reads
+_verdict_columns decides every verdict of a block at once, csv_lines and
+json_lines build output and checkpoint lines from one template each,
+_LINE_ROWS rows at a time (write_lines), and only a caller that reads
 SweepResult.records gets one VerificationRecord per pair. A
 checkpoint is reused a block of lines at a time: each line must equal, byte
 for byte, the canonical line that json_lines derives from the counts in its
@@ -38,7 +37,6 @@ import json
 import math
 import os
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -770,20 +768,19 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
-def sweep(cfg: SweepConfig, on_a=None) -> SweepResult:
+def sweep(cfg: SweepConfig) -> SweepResult:
     """Run the grid, appending finished blocks to the checkpoint as they land.
 
-    Checkpointed pairs of the grid are reused, not recomputed. A task is up to
-    BLOCK_ROWS pending values of b of one a; a pool gets about four tasks per
-    worker, the tasks of the largest a first. An a is final once its reused rows
-    and all its new blocks are in: they are then put in b order, handed to
-    on_a(columns) when it is given, and kept. The a values are final in
-    ascending order, whatever the worker count or resume state, so the calls of
-    on_a, and SweepResult.columns (their concatenation), are in (a, b) order.
+    Output order is deterministic: records are sorted by (a, b) regardless of
+    worker count or resume state. Checkpointed pairs of the grid are reused, not
+    recomputed. A task is up to BLOCK_ROWS pending values of b of one a; a pool
+    gets about four tasks per worker, the tasks of the largest a first. Each a's
+    reused rows and new blocks are put in b order once, at the end, and
+    SweepResult.columns is the concatenation of those per-a columns.
     """
     grid = grid_pairs(cfg)
     done = load_checkpoint(cfg.checkpoint_path) if cfg.checkpoint_path else _concat([])
-    parts, pending = {}, {}  # per a: its blocks so far (the reused rows first), and the b values to compute
+    parts, pending = {}, {}  # per a, ascending: its blocks (the reused rows first), and the b values to compute
     for a, bs in grid.items():
         lo, hi = np.searchsorted(done.a, [a, a + 1])
         have = done.take(slice(lo, hi))
@@ -795,8 +792,6 @@ def sweep(cfg: SweepConfig, on_a=None) -> SweepResult:
     if workers > 1:  # a few tasks per worker even out their costs, which grow with a and b
         rows = max(1, min(rows, -(-sum(bs.size for bs in pending.values()) // (4 * workers))))
     tasks = [(a, bs[i : i + rows]) for a, bs in pending.items() for i in range(0, bs.size, rows)]
-    left = Counter(a for a, _ in tasks)  # tasks of each a still out
-    finals = []  # the columns of each final a, ascending
 
     if cfg.checkpoint_path:
         _trim_torn_tail(cfg.checkpoint_path)
@@ -805,40 +800,33 @@ def sweep(cfg: SweepConfig, on_a=None) -> SweepResult:
         ckpt = None
     try:
 
-        def flush():
-            while parts and left[a := next(iter(parts))] == 0:  # parts holds the a not yet final, ascending
-                cols = _concat(parts.pop(a))
-                cols = cols.take(np.argsort(cols.b, kind="stable"))
-                if on_a is not None:
-                    on_a(cols)
-                finals.append(cols)
-
-        def land(a, block):
+        def emit(block):
             if ckpt is not None:
                 write_lines(ckpt, json_lines, block)
                 ckpt.flush()
-            parts[a].append(block)
-            left[a] -= 1
-            flush()
+            parts[int(block.a[0])].append(block)
 
-        flush()  # the a values with nothing to compute, up to the first with tasks
         # the pool forks all of its processes at the first submit: never more than there is work and cpus for
         workers = min(workers, len(tasks))
         if workers <= 1:
             for a, bs in tasks:
-                land(a, _sweep_chunk(a, bs, cfg.cross_check, cfg.brute_cap))
+                emit(_sweep_chunk(a, bs, cfg.cross_check, cfg.brute_cap))
         else:
             from concurrent.futures import as_completed
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_sweep_chunk, a, bs, cfg.cross_check, cfg.brute_cap): a for a, bs in reversed(tasks)
-                }
+                futures = [
+                    pool.submit(_sweep_chunk, a, bs, cfg.cross_check, cfg.brute_cap) for a, bs in reversed(tasks)
+                ]
                 for fut in as_completed(futures):
-                    land(futures[fut], fut.result())
+                    emit(fut.result())
     finally:
         if ckpt is not None:
             ckpt.close()
 
+    finals = []
+    while parts:  # ascending a; each a's blocks are let go once its copy in b order is made
+        cols = _concat(parts.pop(next(iter(parts))))
+        finals.append(cols.take(np.argsort(cols.b, kind="stable")))
     cols = _concat(finals)
     return SweepResult(cols, _summarize(cols))

@@ -254,15 +254,25 @@ def test_failed_runs_leave_no_out_file(tmp_path, capsys, monkeypatch):
     argv = ("verify", "coj2", "--a-max", "5", "--b-max", "40", "--format", "csv", "--out", str(out))
     assert run(capsys, *argv, "--resume", str(bad))[0] == 4
     fast = pistar.pi_star_fast
-    # a = 3 and 4 agree and are written before a = 5 disagrees
+    # a = 3 and 4 agree and are computed before a = 5 disagrees
     off = lambda pair: dataclasses.replace(fast(pair), pi_star=-1) if pair.a == 5 else fast(pair)  # noqa: E731
     monkeypatch.setattr(pistar, "pi_star_fast", off)
     assert run(capsys, *argv, "--cross-check")[0] == 1
     assert sorted(tmp_path.iterdir()) == [bad]
 
 
+def test_out_writes_through_a_symlink(tmp_path, capsys):
+    """--out is opened as given: a symlink stays a symlink, and its target gets the CSV."""
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    rc, _, _ = run(capsys, "verify", "coj2", "--a-max", "4", "--b-max", "30", "--format", "csv", "--out", str(link))
+    assert rc == 0 and link.is_symlink()
+    rc, csv, _ = run(capsys, "verify", "coj2", "--a-max", "4", "--b-max", "30", "--format", "csv")
+    assert rc == 0 and target.read_text() == csv.split("coj2: checked")[0]
+
+
 def test_verify_runs_one_sweep_with_every_pair(tmp_path, capsys, monkeypatch):
-    """The CLI writes through verify.sweep, once per run, and its result still holds every record."""
+    """The CLI runs verify.sweep once per run, and its result holds every record the CLI writes."""
     results = []
 
     def spy(*args, **kwargs):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import struct
@@ -578,22 +577,6 @@ def test_tiny_blocks_keep_every_byte(tmp_path, monkeypatch):
         # the same resume through the pool: the reused rows of a = 5 merge with its new blocks by b
         ck.write_text("".join(lines[:cut]))
         assert written(fmt, "--resume", str(ck), "--threads", "4") == want[fmt]
-
-
-def test_sweep_hands_out_each_a_once_in_order(monkeypatch):
-    """on_a gets every a of the grid once, ascending, each in b order, serially and from a pool that
-    finishes the largest a first; result.columns is their concatenation."""
-    cfg = _small_cfg(a_max=8, b_max=60)
-    monkeypatch.setattr(verify, "BLOCK_ROWS", 3)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlineExecutor)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
-    for workers in (1, 4):
-        blocks = []
-        res = verify.sweep(dataclasses.replace(cfg, workers=workers), blocks.append)
-        assert [int(b.a[0]) for b in blocks] == sorted(verify.grid_pairs(cfg))
-        for b in blocks:
-            assert (b.a == b.a[0]).all() and (np.diff(b.b) > 0).all()
-        assert all(np.array_equal(x, y) for x, y in zip(verify._concat(blocks), res.columns))
 
 
 def test_output_lines_are_built_one_slice_at_a_time(tmp_path, monkeypatch):
