@@ -112,10 +112,12 @@ def primes_array(limit: int) -> np.ndarray:
     return _cached[:idx]
 
 
-def residue_classes(p: np.ndarray, m: int):
+def residue_classes(p: np.ndarray, m: int, packed: bool = False):
     """Group ascending int64 primes by residue mod m.
 
     Returns (p_sorted, cuts): class l is p_sorted[cuts[l] : cuts[l + 1]], still ascending.
+    With packed, each entry keeps its class above the primes' bits, l << shift | p with
+    shift = int(p[-1]).bit_length(), so the whole array is one ascending run of keys.
     """
     if m < 1:
         raise ValueError("modulus must be >= 1")
@@ -128,12 +130,13 @@ def residue_classes(p: np.ndarray, m: int):
     key <<= shift
     key |= p
     key.sort()
-    key &= (1 << shift) - 1
+    if not packed:
+        key &= (1 << shift) - 1
     return key, cuts
 
 
 def pi_ap(x, m: int, l: int) -> int:
-    """Exact count of primes p <= x in the residue class l mod m.
+    """Exact count of primes p <= x in the residue class l mod m, one sieve window at a time.
 
     Any l is accepted and reduced mod m; classes sharing a factor with m
     hold at most the one prime dividing m.
@@ -143,8 +146,7 @@ def pi_ap(x, m: int, l: int) -> int:
     if x < 2:
         return 0
     l %= m
-    p = primes_array(int(x))
-    return int(np.count_nonzero(p % m == l))
+    return sum(int(np.count_nonzero(arr % m == l)) for arr in prime_windows(0, int(x) + 1))
 
 
 def is_prime(n: int) -> bool:

@@ -392,11 +392,19 @@ def _checkpoint_block(lines: list, first: int) -> RecordColumns:
 
 
 def _sorted_unique(cols: RecordColumns) -> RecordColumns:
-    """cols in (a, b) order; of rows with equal (a, b) the last one is kept."""
-    cols = cols.take(np.lexsort((cols.b, cols.a)))
-    last = np.ones(len(cols.a), dtype=bool)
-    last[:-1] = (cols.a[1:] != cols.a[:-1]) | (cols.b[1:] != cols.b[:-1])
-    return cols.take(last)
+    """cols in (a, b) order; of rows with equal (a, b) the last one is kept.
+
+    Rows already in strictly increasing (a, b) order, as the checkpoint of one
+    single-process sweep holds them, are returned as they are.
+    """
+    a, b = cols.a, cols.b
+    if np.all((a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))):
+        return cols
+    order = np.lexsort((b, a))  # stable, so of equal (a, b) the later line comes last
+    a, b = a[order], b[order]
+    last = np.ones(order.size, dtype=bool)
+    last[:-1] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return cols.take(order[last])
 
 
 def load_checkpoint(path: str) -> RecordColumns:
@@ -418,7 +426,9 @@ def load_checkpoint(path: str) -> RecordColumns:
                 if lines:
                     blocks.append(_checkpoint_block(lines, n_read + 1))
                     n_read += len(lines)
-    return _sorted_unique(_concat(blocks))
+    cols = _concat(blocks)
+    blocks.clear()  # let the read blocks go before the rows are sorted
+    return _sorted_unique(cols)
 
 
 # ----------------------------------------------------------------------
@@ -523,7 +533,7 @@ def iter_pair_stats(a: int, bs):
         s = a * block - a - block
         table = primelib.primes_array(max(int(s.max()), 2))
         pi_s = np.searchsorted(table, s, side="right")
-        pi_star = pistar.gap_prime_counts(a, block, s + 1)
+        pi_star = pistar.gap_prime_counts(a, block, s + 1, [table])
         yield from zip(block.tolist(), s.tolist(), pi_star.tolist(), pi_s.tolist())
 
 
@@ -677,7 +687,7 @@ def reproduce_thm1_cases(case_id: int, case1_samples: int = 200) -> Thm1CaseRepo
             bs = _coprime_bs(a, a + 1, 1000)
             s = a * bs - a - bs
             pi_s = np.searchsorted(primelib.primes_array(int(s.max())), s, side="right")
-            low_gaps = pistar.gap_prime_counts(a, bs, s // 20 + 1)
+            low_gaps = pistar.gap_prime_counts(a, bs, s // 20 + 1, [primelib.primes_array(int(s.max()) // 20)])
             failures += [(a, b) for b in bs[10_000 * low_gaps <= 663 * pi_s].tolist()]
             n_pairs += bs.size
         worst, ok = _delta_scan(CASE3_DELTA, range(16, 181), g_poly, CASE3_THRESHOLD)

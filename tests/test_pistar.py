@@ -75,7 +75,7 @@ def test_three_routes_agree_property(case):
     pair = semigroup.new_pair(a, b)
     with mock.patch.object(primes, "DEFAULT_WINDOW", window):
         f = pistar.pi_star_fast(pair)
-    r = pistar.pi_star_residue_sum(pair)
+        r = pistar.pi_star_residue_sum(pair)  # many windows, each searched by class or packed by its size
     bf = pistar.pi_star_bruteforce(pair)
     assert (f.pi_star, f.pi_s) == (r.pi_star, r.pi_s) == (bf.pi_star, bf.pi_s), case
 
@@ -133,13 +133,40 @@ def test_gap_prime_counts_capped_queries():
         bs = np.array(bs, dtype=np.int64)
         s = a * bs - a - bs
         for below in (np.full(bs.size, 3), bs // 2, s // 20 + 1, s // 3, s + 1, 2 * s + 50):
-            got = pistar.gap_prime_counts(a, bs, below)
+            got = pistar.gap_prime_counts(a, bs, below, [primes.primes_array(int(below.max()))])
             for b, cap, count in zip(bs.tolist(), below.tolist(), got.tolist()):
                 gaps = semigroup.gaps(semigroup.new_pair(a, b))
                 assert count == sum(1 for n in gaps if n < cap and primes.is_prime(n)), (a, b, cap)
     # <3,5> has the prime gaps 2 and 7 (s = 7), and b*v runs over 5 and 10
     for cap, want in [(3, 1), (7, 1), (8, 2), (10**6, 2)]:
-        assert pistar.gap_prime_counts(3, np.array([5]), np.array([cap])).tolist() == [want]
+        got = pistar.gap_prime_counts(3, np.array([5]), np.array([cap]), [primes.primes_array(cap)])
+        assert got.tolist() == [want]
+
+
+def test_gap_prime_counts_adds_up_over_chunks():
+    """Random consecutive chunks of the table give the one-chunk counts, for many-b blocks and one-b queries."""
+    rng = random.Random(44)
+    table = primes.primes_array(1009 * 1309)  # every prime below the largest query, s + 1 at (1009, 1308)
+    for a in (1, 2, 3, 7, 30, 97, 400, 1009):
+        bs = np.array([b for b in range(a + 1, a + 300) if math.gcd(a, b) == 1], dtype=np.int64)
+        s = a * bs - a - bs
+        for below in (s + 1, s // 20 + 1, s // 3):
+            queries = [(bs, below)] + [(bs[i : i + 1], below[i : i + 1]) for i in (0, bs.size // 2, bs.size - 1)]
+            for b, cap in queries:
+                want = pistar.gap_prime_counts(a, b, cap, [table[: np.searchsorted(table, cap.max())]])
+                cuts = sorted(rng.sample(range(1, table.size), rng.choice([1, 5, 40])))
+                chunks = [table[:0]] + np.split(table, cuts)
+                assert pistar.gap_prime_counts(a, b, cap, chunks).tolist() == want.tolist(), (a, b.size, cuts[:3])
+
+
+def test_single_pair_routes_build_no_table():
+    """pi_star_residue_sum and pi_ap count over sieve windows: the shared prime table does not grow."""
+    limit = primes._cached_limit
+    pair = semigroup.new_pair(1024, limit // 1023 + 3 | 1)  # s > limit
+    r = pistar.pi_star_residue_sum(pair)
+    assert (r.pi_star, r.pi_s) == (pistar.pi_star_fast(pair).pi_star, primes.pi(pair.s))
+    assert primes.pi_ap(pair.s, 4, 1) + primes.pi_ap(pair.s, 4, 3) + 1 == r.pi_s
+    assert primes._cached_limit == limit
 
 
 def test_best_factor_direction():

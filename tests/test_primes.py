@@ -118,6 +118,11 @@ def test_residue_classes_matches_int64_reference():
             want, want_cuts = _classes_reference(arr, m)
             assert got.dtype == np.int64 and cuts.dtype == np.int64 and cuts.size == m + 1
             assert np.array_equal(got, want) and np.array_equal(cuts, want_cuts), (m, arr.size)
+            # packed keys: the same order with each class above the primes' bits, one ascending run
+            keys, _ = primes.residue_classes(arr, m, packed=True)
+            shift = int(arr[-1]).bit_length() if arr.size else 0
+            classes = np.repeat(np.arange(m, dtype=np.int64), np.diff(want_cuts))
+            assert np.array_equal(keys, classes << shift | want) and np.all(np.diff(keys) > 0), (m, arr.size)
 
 
 def test_residue_classes_rejects_bad_modulus():

@@ -406,6 +406,31 @@ def test_load_checkpoint_reuses_valid_noncanonical_lines(tmp_path, monkeypatch, 
     assert path.read_bytes() == before
 
 
+def test_load_checkpoint_in_order_shuffled_and_duplicated(tmp_path, monkeypatch):
+    """In-order lines load without a sort; the same lines shuffled, with stale duplicates, load to equal columns."""
+    cols = verify.sweep(_small_cfg(a_min=2)).columns
+    lines = [line + "\n" for line in verify.json_lines(cols)]
+    pairs = list(zip(cols.a.tolist(), cols.b.tolist()))
+    rng = np.random.default_rng(9)
+    chosen = set(rng.choice(len(pairs), 20, replace=False).tolist())
+    stale = [verify.record_to_json(verify.evaluate_pair(a, b, a * b - a - b, 0, 0)) + "\n" for a, b in map(pairs.__getitem__, chosen)]
+    path = tmp_path / "ck.jsonl"
+    path.write_text("".join(lines))
+    with monkeypatch.context() as m:
+        m.setattr(np, "lexsort", None)  # strictly increasing (a, b): returned as read
+        in_order = verify.load_checkpoint(str(path))
+    assert verify.json_lines(in_order) == verify.json_lines(cols)
+    # stale lines first and a few lines twice: each pair's last line is the good one
+    path.write_text("".join(stale + list(rng.permutation(lines)) + lines[::7]))
+    assert verify.json_lines(verify.load_checkpoint(str(path))) == verify.json_lines(cols)
+    # the stale lines last: they win
+    path.write_text("".join(list(rng.permutation(lines)) + stale))
+    loaded = verify.load_checkpoint(str(path))
+    want = [(0, 0) if i in chosen else counts for i, counts in enumerate(zip(cols.pi_star.tolist(), cols.pi_s.tolist()))]
+    assert list(zip(loaded.a.tolist(), loaded.b.tolist())) == pairs
+    assert list(zip(loaded.pi_star.tolist(), loaded.pi_s.tolist())) == want
+
+
 _BASE = verify.record_to_dict(verify.evaluate_pair(7, 30, 173, 1, 40))
 _VALID = json.dumps(dict(_BASE, ms=17))  # valid, not canonical: reused
 _FLIPPED = json.dumps(dict(_BASE, thm2=True))
