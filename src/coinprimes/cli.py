@@ -35,12 +35,13 @@ _METHOD_FLAGS = {
 }
 
 
-def _emit_records(args, cols):
+def _emit_records(args, columns):
     """Write record columns as the flags ask: as --format csv (CSV_HEADER first) or jsonl, to --out or
-    stdout, and as CSV to --out under --format table. Lines are built and written a bounded slice at a
-    time (verify.write_lines)."""
+    stdout, and as CSV to --out under --format table. columns() gives the columns; it is called only
+    when records are written. Lines are built and written a bounded slice at a time (verify.write_lines)."""
     if args.format == "table" and not args.out:
         return
+    cols = columns()
     fmt = "csv" if args.format == "table" else args.format
     fh = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     try:
@@ -72,7 +73,7 @@ def cmd_compute(args) -> int:
         for r in results:
             ratio = "n/a" if r.ratio_to_pi_s is None else format(r.ratio_to_pi_s, ".6g")
             print(f"pair={pair} s={pair.s} pi_star={r.pi_star} pi_s={r.pi_s} ratio={ratio} method={r.method}")
-    _emit_records(args, verify.pair_columns(args.a, args.b, pair.s, r0.pi_star, r0.pi_s))
+    _emit_records(args, lambda: verify.pair_columns(args.a, args.b, pair.s, r0.pi_star, r0.pi_s))
     if args.exact_margins and min(args.a, args.b) >= 3 and pair.s >= 2:
         rhs = bounds.thm2_rhs(min(args.a, args.b), pair.s)
         holds = bounds.pi_star_exceeds_thm2_rhs(r0.pi_star, min(args.a, args.b), pair.s, rhs)
@@ -137,7 +138,7 @@ def _run_sweep(args, lo, hi):
         brute_cap=args.brute_cap,
     )
     result = verify.sweep(cfg)
-    _emit_records(args, result.columns)
+    _emit_records(args, lambda: result.columns)
     return result
 
 

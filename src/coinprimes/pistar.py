@@ -2,7 +2,8 @@
 
 Three independent routes compute the same number:
 
-  fast         one streamed sieve pass with the O(1) membership test
+  fast         one streamed sieve pass with the O(1) membership test: p is a
+               gap iff p < w[p mod a], w the Apery table of semigroup.apery_table
   residue-sum  the gap_prime_counts kernel: sum over v of the primes below
                b*v in the class b*v mod a, batched over b
   brute-force  mark every a*u + b*v up to s, then subtract from a dense sieve
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import primes as primelib
 from .errors import LimitExceeded
-from .semigroup import SemigroupPair
+from .semigroup import SemigroupPair, apery_table
 
 BRUTE_FORCE_CAP = 10_000_000
 
@@ -48,9 +49,8 @@ def _result(pair, gap_primes, all_primes, method):
 
 
 def count_gap_primes(chunk: np.ndarray, a: int, b: int, b_inv: int) -> int:
-    """Gap primes within one ascending array of primes (all values must be <= s)."""
-    v0 = (chunk % a) * b_inv % a
-    return int(np.count_nonzero(chunk < b * v0))
+    """Gap primes within one ascending array of primes (all values must be <= s): one class gather per prime."""
+    return int(np.count_nonzero(chunk < apery_table(a, b, b_inv)[chunk % a]))
 
 
 def pi_star_fast(pair: SemigroupPair) -> PiStarResult:

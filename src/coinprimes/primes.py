@@ -1,7 +1,9 @@
 """Segmented prime sieve plus exact counts pi(x) and pi(x; m, l).
 
 Each sieve window stores one bool per odd number, so a window of 2**21
-numbers takes 1 MiB. A module-level prime table backs the bulk array queries
+numbers takes 1 MiB. A window starts as a copy of a wheel pattern with the
+odd multiples of 3, 5, 7, 11 and 13 already struck, so only the larger base
+primes are struck window by window. A module-level prime table backs the bulk array queries
 and grows on demand, written window by window into one buffer sized by an
 upper bound on pi. Each process grows its own: a sweep's forked workers each
 build the table they need, starting from whatever the parent had built before
@@ -42,6 +44,16 @@ def _base_primes_upto(limit: int) -> np.ndarray:
     return _base_primes[:idx]
 
 
+# Odd-only wheel: entry k is False iff 2*k + 1 has a factor in _WHEEL_PRIMES. It repeats every
+# 3*5*7*11*13 = 15,015 entries (30,030 numbers), so each window starts from a copy of it and
+# strikes only the multiples of the larger primes.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = np.ones(math.prod(_WHEEL_PRIMES), dtype=bool)
+for _p in _WHEEL_PRIMES:
+    _WHEEL[_p // 2 :: _p] = False
+del _p
+
+
 def _odd_sieve(lo: int, hi: int):
     """Odd-only primality bits for [lo, hi): (first, bits), bits[i] True iff first + 2*i is prime.
 
@@ -50,12 +62,18 @@ def _odd_sieve(lo: int, hi: int):
     if lo < 0 or hi < lo:
         raise ValueError("segment needs 0 <= lo <= hi")
     first = max(lo, 3) | 1
-    bits = np.ones(max(hi - first + 1, 0) // 2, dtype=bool)
-    for p in _base_primes_upto(math.isqrt(max(hi - 1, 0)))[1:].tolist():
-        start = max(p * p, -(-lo // p) * p)
-        if start % 2 == 0:
-            start += p
-        bits[(start - first) // 2 :: p] = False
+    n = max(hi - first + 1, 0) // 2
+    # first + 2*i = 2*(first // 2 + i) + 1, so the wheel pattern starts at entry first // 2
+    bits = np.resize(np.roll(_WHEEL, -(first // 2 % _WHEEL.size)), n)
+    for p in _WHEEL_PRIMES:
+        if first <= p < hi:
+            bits[(p - first) // 2] = True
+    ps = _base_primes_upto(math.isqrt(max(hi - 1, 0)))[1 + len(_WHEEL_PRIMES) :]
+    # the least odd multiple of p that is >= max(lo, p*p)
+    start = np.maximum(ps * ps, -(-lo // ps) * ps)
+    start += ps * (start % 2 == 0)
+    for p, i in zip(ps.tolist(), ((start - first) >> 1).tolist()):
+        bits[i::p] = False
     return first, bits
 
 
@@ -74,7 +92,9 @@ def prime_windows(lo: int, hi: int):
     for start in range(lo, hi, DEFAULT_WINDOW):
         end = min(start + DEFAULT_WINDOW, hi)
         first, bits = _odd_sieve(start, end)
-        arr = 2 * np.flatnonzero(bits) + first
+        arr = np.flatnonzero(bits)
+        arr <<= 1
+        arr += first
         if start <= 2 < end:
             arr = np.concatenate(([2], arr))
         if arr.size:

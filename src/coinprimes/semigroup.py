@@ -46,10 +46,18 @@ def contains(pair: SemigroupPair, n: int) -> bool:
     return n >= pair.b * v0
 
 
+def apery_table(a: int, b: int, b_inv: int) -> np.ndarray:
+    """The Apery set of <a, b> by class mod a (int64): n >= 0 is representable iff n >= table[n % a].
+
+    Entry c is b * v with v = c * b^-1 mod a, the least element of the
+    semigroup in class c; b_inv is the inverse of b mod a (0 when a == 1).
+    """
+    return b * (np.arange(a, dtype=np.int64) * b_inv % a)
+
+
 def gaps(pair: SemigroupPair) -> list:
     """All non-representable positive integers, ascending."""
     if pair.a == 1 or pair.b == 1 or pair.s < 1:
         return []
     n = np.arange(1, pair.s + 1, dtype=np.int64)
-    v0 = (n % pair.a) * pair.b_inv_mod_a % pair.a
-    return n[n < pair.b * v0].tolist()
+    return n[n < apery_table(pair.a, pair.b, pair.b_inv_mod_a)[n % pair.a]].tolist()

@@ -9,8 +9,10 @@ benchmark, not these modules' own tests, so it is checked here. spans.py and
 workloads.py are loaded from their files, unchanged.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from coinprimes import cli, verify
@@ -33,6 +35,28 @@ def test_wrapped_functions_resolve():
         assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
     # the workloads' other names: evaluate_pair, record_to_csv and record_to_dict are wrapped above
     assert isinstance(verify.CSV_HEADER, str)
+
+
+# The leading positional parameters whose values spans._attrs and spans.install read, by position,
+# from each call: the chunk's size, the sieved range, the table limit and the checkpoint paths.
+READ_BY_POSITION = {
+    ("pistar", "count_gap_primes"): ("chunk",),
+    ("primes", "prime_windows"): ("lo", "hi"),
+    ("primes", "primes_array"): ("limit",),
+    ("verify", "load_checkpoint"): ("path",),
+    ("verify", "sweep"): ("cfg",),
+}
+
+
+def test_traced_arguments_keep_their_positions():
+    """A parameter moved or renamed away would leave pistar.primes_scanned or primes.numbers_sieved reading 0."""
+    spans = _load("spans")
+    assert set(READ_BY_POSITION) <= set(spans.WRAPPED)
+    for (mod_name, fn_name), names in READ_BY_POSITION.items():
+        params = list(inspect.signature(getattr(importlib.import_module(f"coinprimes.{mod_name}"), fn_name)).parameters.values())
+        assert [p.name for p in params[: len(names)]] == list(names), f"{mod_name}.{fn_name}"
+        assert all(p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) for p in params[: len(names)])
+    assert "checkpoint_path" in {f.name for f in dataclasses.fields(verify.SweepConfig)}
 
 
 def test_workload_commands_parse(tmp_path):

@@ -126,6 +126,24 @@ def test_gap_primes_are_the_prime_gaps():
         assert pistar.pi_star_fast(pair).pi_star == want
 
 
+def test_count_gap_primes_matches_contains():
+    """The class-table count over random chunks of the primes <= s is the count of primes
+    semigroup.contains rejects, for every a in [1, 40]; the primes dividing a get a chunk of their own."""
+    rng = random.Random(45)
+    for a in range(1, 41):
+        b = rng.choice([b for b in range(max(a + 1, 5), 4000 // a + 60) if math.gcd(a, b) == 1])
+        pair = semigroup.new_pair(a, b)
+        table = primes.primes_array(max(pair.s, 2))
+        table = table[table <= pair.s]
+        want = sum(1 for p in table.tolist() if not semigroup.contains(pair, p))
+        own = a % table == 0
+        rest = table[~own]
+        cuts = sorted(rng.sample(range(rest.size + 1), min(rest.size + 1, rng.choice([0, 1, 3, 10]))))
+        chunks = [table[own]] + np.split(rest, cuts)
+        got = sum(pistar.count_gap_primes(chunk, a, b, pair.b_inv_mod_a) for chunk in chunks)
+        assert got == want == pistar.pi_star_fast(pair).pi_star, (a, b)
+
+
 def test_gap_prime_counts_capped_queries():
     """Capped queries count the prime gaps below the cap, as thm1 case 3 asks of the kernel."""
     rows = [(3, [4, 5, 7, 8, 10, 11]), (5, [6, 7, 8, 9, 11, 12, 13]), (7, [8, 9, 10, 11, 12, 13, 30]), (11, [12, 13, 25])]

@@ -8,10 +8,11 @@ import pytest
 from coinprimes import primes
 
 
-def trial_primes(lo, hi):
+def trial_primes(hi):
+    """Primes below hi by trial division by the smaller primes up to the square root."""
     out = []
-    for n in range(max(lo, 2), hi):
-        if all(n % d for d in range(2, int(math.isqrt(n)) + 1)):
+    for n in range(2, hi):
+        if all(n % d for d in out[: bisect.bisect_right(out, math.isqrt(n))]):
             out.append(n)
     return out
 
@@ -29,8 +30,25 @@ def _windows():
     return out
 
 
+WHEEL_PERIOD = 30_030  # 2 * 3 * 5 * 7 * 11 * 13: the odd-only wheel pattern repeats every this many numbers
+
+
+def _wheel_windows():
+    """Every window in [0, 64]; windows starting on a multiple of each wheel prime; windows
+    crossing a multiple of the wheel period; and one window longer than two periods."""
+    out = [(lo, hi) for hi in range(65) for lo in range(hi + 1)]
+    for p in (3, 5, 7, 11, 13):
+        for lo in (p, 2 * p, p * p, WHEEL_PERIOD - p, WHEEL_PERIOD + p, 2 * WHEEL_PERIOD + 7 * p):
+            out += [(lo, lo + width) for width in (1, 2, 3, 2 * p + 1, 1000)]
+    for k in (1, 2, 3):
+        out += [(k * WHEEL_PERIOD - w, k * WHEEL_PERIOD + w) for w in (1, 2, 17, 500)]
+    out.append((12_345, 12_345 + 2 * WHEEL_PERIOD + 777))
+    return out
+
+
 WINDOWS = _windows()
-REFERENCE = trial_primes(0, max(hi for _, hi in WINDOWS))
+WHEEL_WINDOWS = _wheel_windows()
+REFERENCE = trial_primes(max(hi for _, hi in WINDOWS + WHEEL_WINDOWS))
 
 
 def reference_primes(lo, hi):
@@ -58,6 +76,19 @@ def test_prime_windows(monkeypatch):
         assert primes.pi(hi - 1) == len(reference_primes(0, hi)), hi
 
 
+def test_wheel_windows(monkeypatch):
+    """The wheel pattern is laid down at every phase, its primes 3-13 are restored, and windows
+    of the wheel period's size or just past it lose no prime at the seams."""
+    for lo, hi in WHEEL_WINDOWS:
+        assert segment_primes(lo, hi) == reference_primes(lo, hi), (lo, hi)
+    for window in (primes.DEFAULT_WINDOW, 64, WHEEL_PERIOD // 2, WHEEL_PERIOD, WHEEL_PERIOD + 1):
+        monkeypatch.setattr(primes, "DEFAULT_WINDOW", window)
+        for lo, hi in WHEEL_WINDOWS:
+            arrays = list(primes.prime_windows(lo, hi))
+            assert all(a.size and a.dtype == np.int64 and a[-1] - a[0] < window for a in arrays)
+            assert [int(p) for a in arrays for p in a] == reference_primes(lo, hi), (lo, hi, window)
+
+
 def test_sieve_segment_random_windows():
     rng = random.Random(21)
     for _ in range(30):
@@ -72,6 +103,8 @@ def test_pi_point_values():
     assert primes.pi(10) == 4
     assert primes.pi(100) == 25
     assert primes.pi(10**6) == 78498
+    assert primes.pi(10**7) == 664579
+    assert primes.pi(10**8) == 5761455
 
 
 def test_pi_window_size_independent(monkeypatch):

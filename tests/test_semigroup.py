@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from coinprimes import semigroup
@@ -58,6 +59,17 @@ def test_contains_edges():
         assert semigroup.contains(p, n)
     one = semigroup.new_pair(1, 7)
     assert semigroup.contains(one, 0) and semigroup.contains(one, 1)
+
+
+def test_apery_table_is_least_element_per_class():
+    rng = random.Random(32)
+    for a in [1, 2, 3, 7, 12, 29] + [rng.randrange(2, 60) for _ in range(10)]:
+        b = rng.choice([b for b in range(2, 200) if math.gcd(a, b) == 1])
+        pair = semigroup.new_pair(a, b)
+        reach = closure_flags(a, b, a * b)
+        table = semigroup.apery_table(a, b, pair.b_inv_mod_a)
+        assert table.dtype == np.int64
+        assert table.tolist() == [min(n for n in range(c, a * b + 1, a) if reach[n]) for c in range(a)], (a, b)
 
 
 def test_gap_count_is_sylvester():
