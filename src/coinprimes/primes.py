@@ -48,10 +48,7 @@ def _base_primes_upto(limit: int) -> np.ndarray:
 # 3*5*7*11*13 = 15,015 entries (30,030 numbers), so each window starts from a copy of it and
 # strikes only the multiples of the larger primes.
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
-_WHEEL = np.ones(math.prod(_WHEEL_PRIMES), dtype=bool)
-for _p in _WHEEL_PRIMES:
-    _WHEEL[_p // 2 :: _p] = False
-del _p
+_WHEEL = np.logical_and.reduce([np.arange(1, 2 * math.prod(_WHEEL_PRIMES), 2) % p != 0 for p in _WHEEL_PRIMES])
 
 
 def _odd_sieve(lo: int, hi: int):
