@@ -63,7 +63,10 @@ def _compute_one(pair, method, brute_cap):
 
 def cmd_compute(args) -> int:
     pair = new_pair(args.a, args.b)
-    results = [_compute_one(pair, m, args.brute_cap) for m in _METHOD_FLAGS[args.method]]
+    methods = _METHOD_FLAGS[args.method]
+    if pistar.METHOD_BRUTE in methods:
+        pistar.check_brute_cap(pair, args.brute_cap)  # before any other method sieves [2, s]
+    results = [_compute_one(pair, m, args.brute_cap) for m in methods]
     if len({(r.pi_star, r.pi_s) for r in results}) != 1:
         counts = ", ".join(f"{r.method}=({r.pi_star}, {r.pi_s})" for r in results)
         print(f"FAIL: methods disagree on {pair} (pi_star, pi_s): {counts}")

@@ -3,12 +3,17 @@
 Each sieve window stores one bool per odd number, so a window of 2**21
 numbers takes 1 MiB. A window starts as a copy of a wheel pattern with the
 odd multiples of 3, 5, 7, 11 and 13 already struck, so only the larger base
-primes are struck window by window. A module-level prime table backs the bulk array queries
-and grows on demand, written window by window into one buffer sized by an
-upper bound on pi. Each process grows its own: a sweep's forked workers each
-build the table they need, starting from whatever the parent had built before
-the fork. Splitting the table into classes mod m sorts (class, prime) keys
-packed into one int64 array in place, so no index array is made.
+primes are struck window by window. sieve_windows yields these bitmaps;
+prime_windows turns each into an array of primes, while pi and class_counts
+count straight from the bits: entry i of a window is first + 2*i, so its
+class mod m repeats with period m / gcd(m, 2), and one column sum of the
+bitmap gives every class's count in the window. A module-level prime table
+backs the bulk array queries and grows on demand, written window by window
+into one buffer sized by an upper bound on pi. Each process grows its own: a
+sweep's forked workers each build the table they need, starting from
+whatever the parent had built before the fork. Splitting the table into
+classes mod m sorts (class, prime) keys packed into one int64 array in
+place, so no index array is made.
 """
 
 import math
@@ -84,16 +89,24 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
     return bits
 
 
-def prime_windows(lo: int, hi: int):
-    """Yield nonempty int64 arrays of the primes in [lo, hi), DEFAULT_WINDOW numbers at a time."""
+def sieve_windows(lo: int, hi: int):
+    """Yield (first, bits) for [lo, hi), DEFAULT_WINDOW numbers at a time: bits[i] is True iff first + 2*i is prime.
+
+    2 is never represented (see _odd_sieve), so a caller whose range holds 2 counts it itself.
+    """
     for start in range(lo, hi, DEFAULT_WINDOW):
-        end = min(start + DEFAULT_WINDOW, hi)
-        first, bits = _odd_sieve(start, end)
+        yield _odd_sieve(start, min(start + DEFAULT_WINDOW, hi))
+
+
+def prime_windows(lo: int, hi: int):
+    """Yield nonempty ascending int64 arrays of the primes in [lo, hi), one per window of sieve_windows."""
+    two = lo <= 2 < hi
+    for first, bits in sieve_windows(lo, hi):
         arr = np.flatnonzero(bits)
         arr <<= 1
         arr += first
-        if start <= 2 < end:
-            arr = np.concatenate(([2], arr))
+        if two:
+            arr, two = np.concatenate(([2], arr)), False
         if arr.size:
             yield arr
 
@@ -102,7 +115,49 @@ def pi(x) -> int:
     """Exact count of primes <= x."""
     if x < 2:
         return 0
-    return sum(arr.size for arr in prime_windows(0, int(x) + 1))
+    return 1 + sum(int(np.count_nonzero(bits)) for _, bits in sieve_windows(0, int(x) + 1))
+
+
+def class_counts(x, m: int, below=None):
+    """Primes p <= x in each residue class mod m, from one pass of sieve_windows: (counts, pi(x)).
+
+    counts[c] (an int64 array of length m) counts the primes p = c (mod m), and
+    with below, an int64 array of length m, only those p < below[c]; pi(x)
+    counts every prime <= x. Entry i of a window is first + 2*i, so its class
+    repeats with period P = m / gcd(m, 2): the window's bits, cut into rows of
+    P*k entries, sum by column, and the columns fold mod P into one count per
+    class. A class whose cap falls inside a window counts the strided prefix
+    of its entries below the cap instead. Each cap falls in one window at
+    most, so that is at most m such counts over the whole pass.
+    """
+    if m < 1:
+        raise ValueError("modulus must be >= 1")
+    counts = np.zeros(m, dtype=np.int64)
+    if x < 2:
+        return counts, 0
+    if below is None:
+        below = np.full(m, np.iinfo(np.int64).max)
+    if below[2 % m] > 2:
+        counts[2 % m] = 1
+    total = 1
+    period = m // math.gcd(m, 2)
+    steps = 2 * np.arange(period, dtype=np.int64)
+    for first, bits in sieve_windows(0, int(x) + 1):
+        n = bits.size
+        k = max(math.isqrt(n // period), 1)
+        body = n // (period * k) * period * k
+        # at most isqrt(n // period) + 3 rows (about 1,000 in a default window), so uint16 column sums hold them
+        columns = bits[:body].view(np.uint8).reshape(-1, period * k).sum(axis=0, dtype=np.uint16)
+        phase = columns.reshape(k, period).sum(axis=0, dtype=np.int64)
+        phase += np.bincount(np.flatnonzero(bits[body:]) % period, minlength=period)  # body is whole periods
+        total += int(phase.sum())
+        cls = (first + steps) % m  # the class of phase j, each class of first's parity once
+        end = first + 2 * n
+        cap = below[cls]
+        counts[cls] += np.where(cap >= end, phase, 0)
+        for j in np.flatnonzero((first < cap) & (cap < end)).tolist():
+            counts[cls[j]] += np.count_nonzero(bits[j : (int(cap[j]) - first + 1) // 2 : period])
+    return counts, total
 
 
 _cached = np.empty(0, dtype=np.int64)
@@ -129,12 +184,10 @@ def primes_array(limit: int) -> np.ndarray:
     return _cached[:idx]
 
 
-def residue_classes(p: np.ndarray, m: int, packed: bool = False):
+def residue_classes(p: np.ndarray, m: int):
     """Group ascending int64 primes by residue mod m.
 
     Returns (p_sorted, cuts): class l is p_sorted[cuts[l] : cuts[l + 1]], still ascending.
-    With packed, each entry keeps its class above the primes' bits, l << shift | p with
-    shift = int(p[-1]).bit_length(), so the whole array is one ascending run of keys.
     """
     if m < 1:
         raise ValueError("modulus must be >= 1")
@@ -147,23 +200,17 @@ def residue_classes(p: np.ndarray, m: int, packed: bool = False):
     key <<= shift
     key |= p
     key.sort()
-    if not packed:
-        key &= (1 << shift) - 1
+    key &= (1 << shift) - 1
     return key, cuts
 
 
 def pi_ap(x, m: int, l: int) -> int:
-    """Exact count of primes p <= x in the residue class l mod m, one sieve window at a time.
+    """Exact count of primes p <= x in the residue class l mod m (class_counts; O(m) memory).
 
     Any l is accepted and reduced mod m; classes sharing a factor with m
     hold at most the one prime dividing m.
     """
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    if x < 2:
-        return 0
-    l %= m
-    return sum(int(np.count_nonzero(arr % m == l)) for arr in prime_windows(0, int(x) + 1))
+    return int(class_counts(x, m)[0][l % m])
 
 
 def is_prime(n: int) -> bool:

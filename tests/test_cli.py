@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import coinprimes
-from coinprimes import pistar, verify
+from coinprimes import pistar, primes, verify
 from coinprimes.cli import build_parser, main
 
 
@@ -81,6 +81,13 @@ def test_compute_brute_cap(capsys):
     rc, _, err = run(capsys, "compute", "--a", "3", "--b", "2000003", "--method", "brute", "--brute-cap", "1000")
     assert rc == 3
     assert "error:" in err
+
+
+def test_compute_all_checks_the_brute_cap_first(capsys, monkeypatch):
+    """--method all exits 3 on the brute-force cap before fast or residue sieves [2, s]."""
+    monkeypatch.setattr(primes, "sieve_windows", lambda *args: pytest.fail("sieved before the cap check"))
+    rc, out, err = run(capsys, "compute", "--a", "1840", "--b", "40781", "--method", "all")
+    assert (rc, out, err) == (3, "", "error: s = 74994419 exceeds brute-force cap 10000000\n")
 
 
 def test_gaps_output(capsys):

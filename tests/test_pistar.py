@@ -70,12 +70,15 @@ def _pair_and_window(draw):
 @example((1, 7, 16))
 @example((3, 5, 17))
 @example((7, 33333, 4096))  # s = 199,991
+@example((2, 9, 16))  # a = 2: one odd class, period 1
+@example((30, 77, 64))  # even a: half the classes hold no odd prime
+@example((45, 8, 16))  # b < a
 def test_three_routes_agree_property(case):
     a, b, window = case
     pair = semigroup.new_pair(a, b)
     with mock.patch.object(primes, "DEFAULT_WINDOW", window):
         f = pistar.pi_star_fast(pair)
-        r = pistar.pi_star_residue_sum(pair)  # many windows, each searched by class or packed by its size
+        r = pistar.pi_star_residue_sum(pair)  # many windows, each counted by its bitmap columns
     bf = pistar.pi_star_bruteforce(pair)
     assert (f.pi_star, f.pi_s) == (r.pi_star, r.pi_s) == (bf.pi_star, bf.pi_s), case
 
@@ -178,12 +181,14 @@ def test_gap_prime_counts_adds_up_over_chunks():
 
 
 def test_single_pair_routes_build_no_table():
-    """pi_star_residue_sum and pi_ap count over sieve windows: the shared prime table does not grow."""
+    """pi_star_residue_sum and pi_ap count the sieve windows' bits: the shared prime table does not grow,
+    and no prime array is made."""
     limit = primes._cached_limit
     pair = semigroup.new_pair(1024, limit // 1023 + 3 | 1)  # s > limit
-    r = pistar.pi_star_residue_sum(pair)
-    assert (r.pi_star, r.pi_s) == (pistar.pi_star_fast(pair).pi_star, primes.pi(pair.s))
-    assert primes.pi_ap(pair.s, 4, 1) + primes.pi_ap(pair.s, 4, 3) + 1 == r.pi_s
+    with mock.patch.object(primes, "prime_windows", side_effect=AssertionError("prime arrays made")):
+        r = pistar.pi_star_residue_sum(pair)
+        assert primes.pi_ap(pair.s, 4, 1) + primes.pi_ap(pair.s, 4, 3) + 1 == r.pi_s == primes.pi(pair.s)
+    assert r.pi_star == pistar.pi_star_fast(pair).pi_star
     assert primes._cached_limit == limit
 
 

@@ -151,11 +151,6 @@ def test_residue_classes_matches_int64_reference():
             want, want_cuts = _classes_reference(arr, m)
             assert got.dtype == np.int64 and cuts.dtype == np.int64 and cuts.size == m + 1
             assert np.array_equal(got, want) and np.array_equal(cuts, want_cuts), (m, arr.size)
-            # packed keys: the same order with each class above the primes' bits, one ascending run
-            keys, _ = primes.residue_classes(arr, m, packed=True)
-            shift = int(arr[-1]).bit_length() if arr.size else 0
-            classes = np.repeat(np.arange(m, dtype=np.int64), np.diff(want_cuts))
-            assert np.array_equal(keys, classes << shift | want) and np.all(np.diff(keys) > 0), (m, arr.size)
 
 
 def test_residue_classes_rejects_bad_modulus():
@@ -166,6 +161,48 @@ def test_residue_classes_rejects_bad_modulus():
         primes.residue_classes(np.array([2, 3, 2**61 + 1]), 3)
     got, cuts = primes.residue_classes(np.array([2, 3, 2**61 + 1]), 2)
     assert got.tolist() == [2, 3, 2**61 + 1] and cuts.tolist() == [0, 1, 3]
+
+
+def _class_counts_reference(x, m, below):
+    """Per-prime reference: the primes <= x by class mod m, each kept only below its class's cap."""
+    p = primes.primes_array(max(x, 2))
+    p = p[p <= x]
+    res = p % m
+    keep = np.ones(p.size, dtype=bool) if below is None else p < below[res]
+    return np.bincount(res[keep], minlength=m).tolist(), p.size
+
+
+def _window_edges(x):
+    """Each sieve window's first odd entry and the numbers next to it, then 0, 2, 3 and x + 2;
+    the next window's first entry is one past a window's last."""
+    firsts = [max(t, 3) | 1 for t in range(0, x + 1, primes.DEFAULT_WINDOW)]
+    return sorted({e + d for e in firsts for d in (-1, 0, 1, 2)} | {0, 2, 3, x + 2})
+
+
+def test_class_counts_matches_per_prime_reference(monkeypatch):
+    """Class counts from the bitmap columns, with and without caps, equal a count over the primes, for
+    moduli even and odd, one larger than a window's entries, and caps on and next to window edges."""
+    rng = np.random.default_rng(25)
+    # wide: a modulus past a full window's window // 2 entries; at the default window a cap per class
+    # would take seconds, so there only the windows of x <= 3 hold fewer entries than 97
+    for window, wide in ((primes.DEFAULT_WINDOW, 97), (64, 65), (WHEEL_PERIOD // 2, 15_016), (WHEEL_PERIOD + 1, 30_032)):
+        monkeypatch.setattr(primes, "DEFAULT_WINDOW", window)
+        for x in (0, 1, 2, 3, window - 1, window, 2 * window + 1, 3 * window - 2):
+            edges = np.array(_window_edges(x), dtype=np.int64)
+            pi_x = primes.pi(x)
+            for m in (1, 2, 3, 30, 97, wide):
+                caps = (
+                    rng.choice(edges, size=m),
+                    rng.integers(0, x + 3, size=m),
+                    np.where(rng.random(m) < 0.5, rng.choice(edges, size=m), rng.integers(0, x + 3, size=m)),
+                )
+                for below in (None,) + caps:
+                    counts, total = primes.class_counts(x, m, below)
+                    want, want_pi = _class_counts_reference(x, m, below)
+                    assert counts.dtype == np.int64 and counts.tolist() == want, (window, x, m)
+                    assert total == want_pi == pi_x, (window, x, m)
+    with pytest.raises(ValueError):
+        primes.class_counts(100, 0)
 
 
 def test_pi_ap_point_values():
