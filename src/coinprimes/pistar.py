@@ -117,7 +117,7 @@ def _dense_prime_flags(limit: int) -> np.ndarray:
     return flags
 
 
-def check_brute_cap(pair: SemigroupPair, cap: int = BRUTE_FORCE_CAP):
+def check_brute_cap(pair: SemigroupPair, cap: int):
     """Raise LimitExceeded when brute force on the pair would pass its cap on s."""
     if pair.s > cap:
         raise LimitExceeded(f"s = {pair.s} exceeds brute-force cap {cap}")
