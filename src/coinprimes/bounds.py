@@ -449,8 +449,7 @@ def validate_mv_bound(
     draws = _mv_draws(samples, x_max, y_max, k_max, seed)
     x, y, k, l = np.array(draws, dtype=np.int64).reshape(-1, 4).T
     ends = x + y + 1
-    flags = np.zeros(int(ends.max(initial=1)), dtype=bool)
-    flags[primelib.primes_array(flags.size - 1)] = True
+    flags = primelib.sieve_segment(0, int(ends.max(initial=1)))
     firsts = x + 1 + (l - x - 1) % k  # the least n > x with n = l (mod k)
     spans = zip(firsts.tolist(), ends.tolist(), k.tolist())
     counts = np.fromiter((np.count_nonzero(flags[f:e:m]) for f, e, m in spans), dtype=np.int64, count=samples)

@@ -13,15 +13,13 @@ locale-independent and, for fixed flags, byte-stable across thread counts.
 """
 
 import argparse
+import math
 import sys
 from functools import partial
 
-import numpy as np
-
-from . import bounds, pistar, verify
+from . import bounds, pistar, semigroup, verify
 from . import primes as primelib
 from .errors import CheckpointCorrupt, LimitExceeded, MethodDisagreement
-from .semigroup import gaps as semigroup_gaps
 from .semigroup import new_pair
 
 
@@ -86,18 +84,12 @@ def cmd_compute(args) -> int:
 
 def cmd_gaps(args) -> int:
     pair = new_pair(args.a, args.b)
-    ns = semigroup_gaps(pair)
+    pistar.check_brute_cap(pair, pistar.BRUTE_FORCE_CAP)  # like brute force, gaps holds O(s) at once
+    ns = semigroup.gaps(pair)
     if not ns:
         return 0
-    table = primelib.primes_array(max(pair.s, 2))
-    arr = np.asarray(ns, dtype=np.int64)
-    pos = np.searchsorted(table, arr)
-    pos[pos >= len(table)] = len(table) - 1
-    flags = table[pos] == arr
-    out = []
-    for n, f in zip(ns, flags):
-        out.append(f"{n}\t{'p' if f else '-'}")
-    print("\n".join(out))
+    flags = primelib.sieve_segment(0, pair.s + 1)[ns]
+    print("\n".join(f"{n}\t{'p' if f else '-'}" for n, f in zip(ns, flags.tolist())))
     return 0
 
 
@@ -116,6 +108,13 @@ def _positive_int(text):
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def _finite_float(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
 
 
 def _a_bounds(args, default_lo, default_hi):
@@ -310,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=_verify_coj1)
     t = targets.add_parser("bounds")
     t.add_argument("--check", choices=("rs", "ap", "mv", "all"), default="all")
-    t.add_argument("--x-max", type=float, default=1e7)
+    t.add_argument("--x-max", type=_finite_float, default=1e7)
     t.add_argument("--samples", type=_positive_int, default=10**4)
     t.add_argument("--seed", type=int, default=20260819)
     t.set_defaults(func=_verify_bounds)

@@ -7,12 +7,8 @@ primes are struck window by window. sieve_windows yields these bitmaps;
 prime_windows turns each into an array of primes, while pi and class_counts
 count straight from the bits: entry i of a window is first + 2*i, so its
 class mod m repeats with period m / gcd(m, 2), and one column sum of the
-bitmap gives every class's count in the window. A module-level prime table
-backs the bulk array queries and grows on demand, written window by window
-into one buffer sized by an upper bound on pi. Each process grows its own: a
-sweep's forked workers each build the table they need, starting from
-whatever the parent had built before the fork. Splitting the table into
-classes mod m sorts (class, prime) keys packed into one int64 array in
+bitmap gives every class's count in the window. Splitting a prime table
+into classes mod m sorts (class, prime) keys packed into one int64 array in
 place, so no index array is made.
 """
 
@@ -33,20 +29,6 @@ def _simple_prime_flags(limit: int) -> np.ndarray:
         if flags[p]:
             flags[p * p :: p] = False
     return flags
-
-
-_base_primes = np.empty(0, dtype=np.int64)
-_base_limit = 0
-
-
-def _base_primes_upto(limit: int) -> np.ndarray:
-    global _base_primes, _base_limit
-    if limit > _base_limit:
-        new = max(limit, 1 << 12, 2 * _base_limit)
-        _base_primes = np.flatnonzero(_simple_prime_flags(new)).astype(np.int64)
-        _base_limit = new
-    idx = np.searchsorted(_base_primes, limit, side="right")
-    return _base_primes[:idx]
 
 
 # Odd-only wheel: entry k is False iff 2*k + 1 has a factor in _WHEEL_PRIMES. It repeats every
@@ -70,7 +52,7 @@ def _odd_sieve(lo: int, hi: int):
     for p in _WHEEL_PRIMES:
         if first <= p < hi:
             bits[(p - first) // 2] = True
-    ps = _base_primes_upto(math.isqrt(max(hi - 1, 0)))[1 + len(_WHEEL_PRIMES) :]
+    ps = np.flatnonzero(_simple_prime_flags(math.isqrt(max(hi - 1, 0))))[1 + len(_WHEEL_PRIMES) :]
     # the least odd multiple of p that is >= max(lo, p*p)
     start = np.maximum(ps * ps, -(-lo // ps) * ps)
     start += ps * (start % 2 == 0)
@@ -160,28 +142,17 @@ def class_counts(x, m: int, below=None):
     return counts, total
 
 
-_cached = np.empty(0, dtype=np.int64)
-_cached_limit = 1
-
-
 def primes_array(limit: int) -> np.ndarray:
-    """Ascending primes <= limit as an int64 array (cached; grows monotonically).
-
-    The returned slice is a view of the shared table: treat it as read-only.
-    Growth is not thread-safe; build the largest table needed before fanning out.
-    """
-    global _cached, _cached_limit
-    if limit > _cached_limit:
-        new_limit = max(int(limit), 2 * _cached_limit, 1 << 16)
-        # pi(x) < 1.25506 x / log x for x > 1 (Rosser and Schoenfeld), so one buffer takes every window
-        table = np.empty(int(1.25506 * new_limit / math.log(new_limit)) + 1, dtype=np.int64)
-        n = 0
-        for arr in prime_windows(0, new_limit + 1):
-            table[n : n + arr.size] = arr
-            n += arr.size
-        _cached, _cached_limit = table[:n], new_limit
-    idx = np.searchsorted(_cached, limit, side="right")
-    return _cached[:idx]
+    """Ascending primes <= limit as an int64 array."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    # pi(x) < 1.25506 x / log x for x > 1 (Rosser and Schoenfeld), so one buffer takes every window
+    table = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    n = 0
+    for arr in prime_windows(0, limit + 1):
+        table[n : n + arr.size] = arr
+        n += arr.size
+    return table[:n]
 
 
 def residue_classes(p: np.ndarray, m: int):

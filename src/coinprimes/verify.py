@@ -682,12 +682,14 @@ def reproduce_thm1_cases(case_id: int, case1_samples: int = 200) -> Thm1CaseRepo
     if case_id == 3:
         failures = []
         n_pairs = 0
+        table = primelib.primes_array(180 * 1000 - 180 - 1000)  # s at a = 180, b = 1000: the largest s of the case
         for a in range(16, 181):
             # at most 985 b values: one call of the kernel
             bs = _coprime_bs(a, a + 1, 1000)
             s = a * bs - a - bs
-            pi_s = np.searchsorted(primelib.primes_array(int(s.max())), s, side="right")
-            low_gaps = pistar.gap_prime_counts(a, bs, s // 20 + 1, [primelib.primes_array(int(s.max()) // 20)])
+            pi_s = np.searchsorted(table, s, side="right")
+            low = table[: np.searchsorted(table, int(s.max()) // 20, side="right")]
+            low_gaps = pistar.gap_prime_counts(a, bs, s // 20 + 1, [low])
             failures += [(a, b) for b in bs[10_000 * low_gaps <= 663 * pi_s].tolist()]
             n_pairs += bs.size
         worst, ok = _delta_scan(CASE3_DELTA, range(16, 181), g_poly, CASE3_THRESHOLD)

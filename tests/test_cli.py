@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import coinprimes
-from coinprimes import pistar, primes, verify
+from coinprimes import pistar, primes, semigroup, verify
 from coinprimes.cli import build_parser, main
 
 
@@ -97,6 +97,14 @@ def test_gaps_output(capsys):
     rc, out, _ = run(capsys, "gaps", "--a", "2", "--b", "7")
     assert rc == 0
     assert out.splitlines() == ["1\t-", "3\tp", "5\tp"]
+
+
+def test_gaps_checks_the_brute_cap_first(capsys, monkeypatch):
+    """gaps past the brute-force cap exits 3 before it lists a gap or sieves."""
+    monkeypatch.setattr(semigroup, "gaps", lambda *args: pytest.fail("gaps listed before the cap check"))
+    monkeypatch.setattr(primes, "sieve_segment", lambda *args: pytest.fail("sieved before the cap check"))
+    rc, out, err = run(capsys, "gaps", "--a", "1840", "--b", "40781")
+    assert (rc, out, err) == (3, "", "error: s = 74994419 exceeds brute-force cap 10000000\n")
 
 
 def test_gaps_empty(capsys):
@@ -305,6 +313,9 @@ def test_bad_inputs(capsys):
     assert rc == 2
     rc, _, _ = run(capsys, "verify", "nothing")
     assert rc == 2
+    for x_max in ("inf", "1e400", "nan"):
+        rc, _, err = run(capsys, "verify", "bounds", "--x-max", x_max)
+        assert rc == 2 and "--x-max" in err and "Traceback" not in err, x_max
 
 
 def test_corrupt_checkpoint_exit_code(tmp_path, capsys):

@@ -181,15 +181,23 @@ def test_gap_prime_counts_adds_up_over_chunks():
 
 
 def test_single_pair_routes_build_no_table():
-    """pi_star_residue_sum and pi_ap count the sieve windows' bits: the shared prime table does not grow,
-    and no prime array is made."""
-    limit = primes._cached_limit
-    pair = semigroup.new_pair(1024, limit // 1023 + 3 | 1)  # s > limit
-    with mock.patch.object(primes, "prime_windows", side_effect=AssertionError("prime arrays made")):
+    """pi_star_residue_sum and pi_ap count the sieve windows' bits: no prime array is made."""
+    pair = semigroup.new_pair(1024, 10**4 + 1)  # s spans several sieve windows
+    made = AssertionError("prime array made")
+    with mock.patch.object(primes, "primes_array", side_effect=made), mock.patch.object(
+        primes, "prime_windows", side_effect=made
+    ):
         r = pistar.pi_star_residue_sum(pair)
         assert primes.pi_ap(pair.s, 4, 1) + primes.pi_ap(pair.s, 4, 3) + 1 == r.pi_s == primes.pi(pair.s)
     assert r.pi_star == pistar.pi_star_fast(pair).pi_star
-    assert primes._cached_limit == limit
+
+
+def test_prime_layer_keeps_no_table():
+    """Tables belong to their callers: after building and counting, the wheel is the module's only array."""
+    primes.primes_array(10**5)
+    primes.pi(10**6)
+    pistar.pi_star_fast(semigroup.new_pair(7, 10**5 + 3))
+    assert [name for name, v in vars(primes).items() if isinstance(v, np.ndarray)] == ["_WHEEL"]
 
 
 def test_best_factor_direction():

@@ -124,11 +124,14 @@ def test_pi_monotone():
 
 
 def test_primes_array_is_sorted_prefix():
+    for limit, want in [(0, []), (1, []), (2, [2]), (3, [2, 3])]:
+        arr = primes.primes_array(limit)
+        assert arr.dtype == np.int64 and arr.tolist() == want, limit
     arr = primes.primes_array(10**4)
     assert arr[0] == 2 and arr[-1] <= 10**4
     assert len(arr) == primes.pi(10**4)
     assert np.all(np.diff(arr) > 0)
-    # growing the cache keeps earlier contents
+    # two independent builds: the smaller is a prefix of the larger
     bigger = primes.primes_array(10**5)
     assert len(bigger) == primes.pi(10**5)
     assert np.array_equal(bigger[: len(arr)], arr)
