@@ -111,52 +111,60 @@ def _max_omega(n: int) -> int:
 
 
 def coprime_counts(t: np.ndarray, a: np.ndarray):
-    """(#{v <= t_i : gcd(v, a_i) = 1}, phi(a_i)) for int64 columns a >= 1 and t >= 0.
+    """(#{v <= t_i : gcd(v, a_i) = 1}, phi(a_i)) for int64 columns a >= 1 and t (t < 0 counts 0).
 
     Exact integers throughout. The column is trial-divided by the primes up to
-    sqrt(max a), each row's distinct primes filling at most _max_omega(max a)
-    slots, then mobius(d) * (t // d) is summed over the squarefree divisors d
-    of each row. Nothing is sieved up to max a, so sparse columns stay cheap.
+    sqrt(max a), in int32 when max a < 2**31, each row's distinct primes
+    filling its slots in ascending order, then mobius(d) * (t // d) is summed
+    over the squarefree divisors d <= t of each row. A divisor past t adds 0,
+    and so does every multiple of it, so the sum descends only into the rows
+    whose divisor is still <= t and that have a prime in the next slot.
+    Nothing is sieved up to max a, so sparse columns stay cheap.
     """
     a = np.asarray(a, dtype=np.int64)
-    t = np.asarray(t, dtype=np.int64)
+    t = np.maximum(np.asarray(t, dtype=np.int64), 0)
     if a.size and a.min() < 1:
         raise ValueError("needs a >= 1")
     a_max = int(a.max(initial=1))
-    t0 = np.maximum(t, 0)
-    t1 = t0 + 1
-    # a slot a row does not fill holds t + 1, a divisor too large to count anything
-    fac = np.repeat(t1[:, None], max(_max_omega(a_max), 1), axis=1)
+    slots = max(_max_omega(a_max), 1)
+    fac = np.ones((slots, a.size), dtype=np.int64)  # fac[k, i]: the (k+1)-th smallest prime of a_i, if it has one
     omega = np.zeros(a.size, dtype=np.int64)
     phi = a.copy()
-    rest = a.copy()
+    rest = a.astype(np.int32 if a_max < 2**31 else np.int64)
     for p in np.flatnonzero(primelib.sieve_segment(0, math.isqrt(a_max) + 1)).tolist():
         hit = np.flatnonzero(rest % p == 0)
         if not hit.size:
             continue
-        fac[hit, omega[hit]] = p
+        fac[omega[hit], hit] = p
         omega[hit] += 1
         phi[hit] = phi[hit] // p * (p - 1)
         r = rest[hit] // p
-        more = r % p == 0
-        while more.any():
+        more = np.flatnonzero(r % p == 0)
+        while more.size:
             r[more] //= p
-            more = r % p == 0
+            more = more[r[more] % p == 0]
         rest[hit] = r
     big = np.flatnonzero(rest > 1)  # one prime above sqrt(max a) at most
-    fac[big, omega[big]] = rest[big]
+    fac[omega[big], big] = rest[big]
+    omega[big] += 1
     phi[big] = phi[big] // rest[big] * (rest[big] - 1)
 
-    counts = t0.copy()
-    room = [t0 // fac[:, k] for k in range(fac.shape[1])]  # div * fac[:, k] <= t iff div <= room[k]
+    # div * fac[k] <= t iff div <= room[k]; a slot a row does not fill has room -1
+    room = t // fac
+    room[np.arange(slots)[:, None] >= omega] = -1
+    counts = t.copy()
 
-    def add_multiples(div, sign, first):
-        # the divisors div * (a product of slots >= first), each clamped to t + 1 once past t
-        nonlocal counts
-        for k in range(first, fac.shape[1]):
-            nxt = np.where(div <= room[k], div * fac[:, k], t1)
-            counts += sign * (t0 // nxt)
-            add_multiples(nxt, -sign, k + 1)
+    def add_multiples(rows, div, sign, first):
+        # the divisors div * (a product of slots >= first) of each row, for div <= t of that row
+        for k in range(first, slots):
+            # a row's slots ascend, so one that fails here fails every later slot too
+            keep = div <= room[k, rows]
+            rows, div = rows[keep], div[keep]
+            if not rows.size:
+                return
+            nxt = div * fac[k, rows]
+            counts[rows] += sign * (t[rows] // nxt)
+            add_multiples(rows, nxt, -sign, k + 1)
 
-    add_multiples(np.ones_like(t1), -1, 0)
+    add_multiples(np.arange(a.size), np.ones(a.size, dtype=np.int64), -1, 0)
     return counts, phi

@@ -16,9 +16,10 @@ decides a column comparison from the doubles and sends only the rows within
 REL_GUARD to the interval guard; thm2_rhs_column and
 pi_star_exceeds_thm2_rhs_column do the same for the thm2 threshold of a
 sweep block. The envelope validators count primes with
-one searchsorted, one bincount per slice for the progressions, or one strided
-view of a prime bitmap per Montgomery-Vaughan sample, and compare whole
-columns of counts against the envelopes the same way.
+one searchsorted, one bincount per slice for the progressions (both over one
+prime table the caller builds and passes), or one strided view of a prime
+bitmap per Montgomery-Vaughan sample, and compare whole columns of counts
+against the envelopes the same way.
 """
 
 import math
@@ -29,10 +30,16 @@ import numpy as np
 
 from . import arith
 from . import primes as primelib
-from .errors import DomainError
+from .errors import DomainError, LimitExceeded
 
 REL_GUARD = 1e-9
 _GUARD_PRECISIONS = (120, 240, 480, 960)
+
+# The largest sizes a run may ask for. Past X_MAX_CAP the envelope checks' prime table would
+# pass 400 MB of int64; each sample is a Python tuple of the Montgomery-Vaughan check or a
+# delta row of thm1 case 1, all held at once.
+X_MAX_CAP = 10**9
+SAMPLES_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -302,6 +309,12 @@ def case4_constant_exceeds(a: int, threshold) -> bool:
 # empirical validators for the envelopes
 
 
+def check_cap(what: str, n: int, cap: int):
+    """Raise LimitExceeded when the size n of what passes cap; callers check before they sieve or draw."""
+    if n > cap:
+        raise LimitExceeded(f"{what} = {n} exceeds cap {cap}")
+
+
 def log_spaced_ints(lo: int, hi: int, n: int) -> list:
     """Distinct integers, roughly geometric between lo and hi inclusive."""
     if hi < lo:
@@ -333,10 +346,12 @@ def _mv_iv(y, k, phi):
     return lambda iv: 2 * iv.mpf(y) / (phi * iv.log(iv.mpf(y) / k))
 
 
-def validate_rs_envelope(x_max: int = 10_000_000, points: int = 200) -> EnvelopeCheck:
-    """Check x/log x < pi(x) < rs_pi_upper(x) on a log-spaced grid from 17."""
+def validate_rs_envelope(p: np.ndarray, x_max: int, points: int = 200) -> EnvelopeCheck:
+    """Check x/log x < pi(x) < rs_pi_upper(x) on a log-spaced grid from 17 to x_max.
+
+    p is an ascending table of every prime <= x_max (primes_array(x_max)), from the caller.
+    """
     xs = log_spaced_ints(17, x_max, points)
-    p = primelib.primes_array(x_max)
     counts = np.searchsorted(p, xs, side="right").tolist()
     lows = [rs_pi_lower(x) for x in xs]
     highs = [rs_pi_upper(x) for x in xs]
@@ -377,10 +392,13 @@ def _ap_class_counts(p: np.ndarray, xs_of: dict, m_max: int) -> dict:
     return out
 
 
-def validate_ap_envelope(m_max: int = 50, x_max: int = 10_000_000, points: int = 20) -> EnvelopeCheck:
-    """Check the fixed-range progression envelope for every m <= m_max with 50m^2 <= x_max, coprime l."""
+def validate_ap_envelope(p: np.ndarray, m_max: int, x_max: int, points: int = 20) -> EnvelopeCheck:
+    """Check the fixed-range progression envelope for every m <= m_max with 50m^2 <= x_max, coprime l.
+
+    p is an ascending table of every prime <= x_max (primes_array(x_max)), from the caller.
+    """
     xs_of = {m: log_spaced_ints(50 * m * m, x_max, points) for m in range(1, m_max + 1) if 50 * m * m <= x_max}
-    by_m = _ap_class_counts(primelib.primes_array(x_max), xs_of, m_max)
+    by_m = _ap_class_counts(p, xs_of, m_max)
     violations = []
     checked = 0
     for m, xs in xs_of.items():

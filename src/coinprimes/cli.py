@@ -176,6 +176,7 @@ def _verify_thm1(args) -> int:
     stray = args.given & {"--case", "--samples"} if grid else args.given - case_flags
     if stray:
         raise ValueError(f"thm1 {'grid' if grid else 'case'} mode does not read {', '.join(sorted(stray))}")
+    bounds.check_cap("--samples", args.samples, bounds.SAMPLES_CAP)
     if grid:
         lo, hi = _a_bounds(args, 1, 10)
         result = _run_sweep(args, lo, hi)
@@ -246,11 +247,16 @@ def _verify_coj1(args) -> int:
 
 def _verify_bounds(args) -> int:
     x_max = int(args.x_max)
+    bounds.check_cap("--x-max", x_max, bounds.X_MAX_CAP)
+    bounds.check_cap("--samples", args.samples, bounds.SAMPLES_CAP)
     checks = []
-    if args.check in ("rs", "all"):
-        checks.append(bounds.validate_rs_envelope(x_max=x_max, points=200))
-    if args.check in ("ap", "all"):
-        checks.append(bounds.validate_ap_envelope(m_max=50, x_max=x_max, points=20))
+    if args.check in ("rs", "ap", "all"):
+        table = primelib.primes_array(x_max)  # one table for both envelopes, released before the MV bitmap
+        if args.check in ("rs", "all"):
+            checks.append(bounds.validate_rs_envelope(table, x_max, points=200))
+        if args.check in ("ap", "all"):
+            checks.append(bounds.validate_ap_envelope(table, 50, x_max, points=20))
+        del table
     if args.check in ("mv", "all"):
         mv_max = min(x_max, 10**6)
         checks.append(bounds.validate_mv_bound(samples=args.samples, x_max=mv_max, y_max=mv_max, seed=args.seed))

@@ -677,7 +677,7 @@ def reproduce_thm1_cases(case_id: int, case1_samples: int = 200) -> Thm1CaseRepo
         worst, ok = _delta_scan(CASE1_DELTA, case1_sample_points(case1_samples), h_poly, CASE1_THRESHOLD)
         return Thm1CaseReport(1, 0, [], worst, float(CASE1_THRESHOLD), ok)
     if case_id == 2:
-        worst, ok = _delta_scan(CASE2_DELTA, range(181, 60001), h_poly, CASE2_THRESHOLD)
+        worst, ok = _delta_scan(CASE2_DELTA, np.arange(181, 60001), h_poly, CASE2_THRESHOLD)
         return Thm1CaseReport(2, 0, [], worst, float(CASE2_THRESHOLD), ok)
     if case_id == 3:
         failures = []
@@ -692,7 +692,7 @@ def reproduce_thm1_cases(case_id: int, case1_samples: int = 200) -> Thm1CaseRepo
             low_gaps = pistar.gap_prime_counts(a, bs, s // 20 + 1, [low])
             failures += [(a, b) for b in bs[10_000 * low_gaps <= 663 * pi_s].tolist()]
             n_pairs += bs.size
-        worst, ok = _delta_scan(CASE3_DELTA, range(16, 181), g_poly, CASE3_THRESHOLD)
+        worst, ok = _delta_scan(CASE3_DELTA, np.arange(16, 181), g_poly, CASE3_THRESHOLD)
         return Thm1CaseReport(3, n_pairs, failures, worst, float(CASE3_THRESHOLD), ok)
     if case_id == 4:
         half = sweep(SweepConfig(a_min=3, a_max=15, b_rule=B_RULE_UPTO, b_max=180)).summary

@@ -1,8 +1,13 @@
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coinprimes import arith
 from coinprimes.primes import is_prime
@@ -80,3 +85,42 @@ def test_coprime_count_fraction_and_float_bounds():
     assert n_int == n_frac == n_float == 5792
     assert arith.coprime_count_up_to(Fraction(1, 2), 7) == 0
     assert arith.coprime_count_up_to(0, 7) == 0
+
+
+
+# primes above the square root of most columns drawn below, on both sides of 2**31 (2**31 - 1 is prime)
+_LARGE_PRIMES = (65537, 999983, 2**31 - 1, 2**31 + 11)
+
+
+def _a_values():
+    return st.one_of(
+        st.just(1),
+        st.integers(1, 10**6),
+        st.integers(2**31 - 40, 2**31 + 40),
+        st.builds(pow, st.sampled_from((2, 3, 7, 65537)), st.integers(1, 32)).filter(lambda n: n < 2**33),
+        st.builds(operator.mul, st.integers(1, 3), st.sampled_from(_LARGE_PRIMES)),
+    )
+
+
+def _rows():
+    """(t, a) with t anywhere from below 0 to past 2a."""
+    return _a_values().flatmap(lambda a: st.tuples(st.integers(-3, 2 * a + 3), st.just(a)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_rows(), min_size=1, max_size=12))
+@example([(2**31 - 2, 2**31 - 1), (-1, 1), (5, 1), (40, 3**20)])  # int32 trial division, at its largest a
+@example([(2**30, 2**31), (6 * 65537, 4 * 65537), (0, 999983)])  # int64 trial division, at its least max a
+def test_coprime_counts_match_the_scalar_count(rows):
+    a_max = max(a for _, a in rows)
+    # plus the largest multiple of the largest primorial <= max a, which has as many distinct primes as any a <= max a
+    primorials = itertools.accumulate(arith._FIRST_PRIMES, operator.mul)
+    widest = max(itertools.takewhile(lambda q: q <= a_max, primorials), default=1)
+    widest *= a_max // widest
+    assert arith.omega(widest) == arith._max_omega(a_max)
+    rows += [(a_max // 7, widest), (a_max + 1, widest)]
+    t, a = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    counts, phi = arith.coprime_counts(t, a)
+    assert counts.dtype == phi.dtype == np.int64
+    assert counts.tolist() == [arith.coprime_count_up_to(int(x), int(n)) for x, n in rows]
+    assert phi.tolist() == [arith.euler_phi(int(n)) for _, n in rows]

@@ -4,8 +4,9 @@ perfbench/spans.py replaces each (module, function) of its WRAPPED table with a
 timing wrapper, and perfbench/workloads.py re-derives the pinned grid lines
 with verify.evaluate_pair, record_to_csv, record_to_dict and CSV_HEADER, and
 runs its commands through cli.main. A rename or deletion of one of these
-names, or a CLI change that rejects one of those commands, breaks the
-benchmark, not these modules' own tests, so it is checked here. spans.py and
+names, a CLI change that rejects one of those commands, or a change to the
+stdout the analytic-scan workload pins, breaks the benchmark, not these
+modules' own tests, so it is checked here. spans.py and
 workloads.py are loaded from their files, unchanged.
 """
 
@@ -71,3 +72,16 @@ def test_workload_commands_parse(tmp_path):
     for argv in argvs:
         args = cli.build_parser().parse_args(argv)
         assert callable(args.func), argv
+
+
+def test_analytic_scan_stdout_is_the_pinned_one(tmp_path, capsys):
+    """Each analytic-scan command, through cli.main, prints the stdout its workload pins (every printed minimum)."""
+    workloads = _load("workloads")
+    for seed in (1, 101):
+        scan = workloads.AnalyticScan()
+        scan.prepare(tmp_path, seed, None)
+        cmds = scan.commands()
+        assert len(cmds) == len(workloads.AnalyticScan.COMMANDS)
+        for cmd in cmds:
+            assert cli.main(cmd.argv) == 0, cmd.argv
+            assert cmd.check(capsys.readouterr().out) is None, cmd.argv

@@ -5,11 +5,12 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import coinprimes
-from coinprimes import pistar, primes, semigroup, verify
+from coinprimes import bounds, pistar, primes, semigroup, verify
 from coinprimes.cli import build_parser, main
 
 
@@ -306,7 +307,7 @@ def test_verify_runs_one_sweep_with_every_pair(tmp_path, capsys, monkeypatch):
     assert written == [(r.a, r.b) for r in results[0].records] and len(written) == 2290
 
 
-def test_bad_inputs(capsys):
+def test_bad_inputs(capsys, monkeypatch):
     rc, _, err = run(capsys, "verify", "thm3", "--a-range", "5:3")
     assert rc == 2
     rc, _, err = run(capsys, "verify", "thm3", "--a-range", "x:y")
@@ -316,6 +317,41 @@ def test_bad_inputs(capsys):
     for x_max in ("inf", "1e400", "nan"):
         rc, _, err = run(capsys, "verify", "bounds", "--x-max", x_max)
         assert rc == 2 and "--x-max" in err and "Traceback" not in err, x_max
+    # sizes past their caps exit 3 before any table is sieved, any sample drawn or any delta row built
+    monkeypatch.setattr(primes, "primes_array", lambda *args: pytest.fail("prime table built"))
+    monkeypatch.setattr(bounds, "_mv_draws", lambda *args: pytest.fail("samples drawn"))
+    monkeypatch.setattr(verify, "reproduce_thm1_cases", lambda *args, **kwargs: pytest.fail("thm1 case run"))
+    over = [("bounds", "--x-max", x, "--check", check) for x in ("1e30", "1000000001") for check in ("all", "rs", "mv")]
+    over += [("bounds", "--samples", "1000001", "--check", check) for check in ("all", "ap", "mv")]
+    over += [("thm1", "--samples", "1000001", "--case", case) for case in ("1", "all")]
+    for argv in over:
+        rc, out, err = run(capsys, "verify", *argv)
+        assert (rc, out) == (3, "") and f"{argv[1]} = " in err and "exceeds cap" in err, argv
+    assert bounds.X_MAX_CAP == 10**9 and bounds.SAMPLES_CAP == 10**6
+
+
+@pytest.mark.parametrize("check,tables", [("all", 1), ("rs", 1), ("ap", 1), ("mv", 0)])
+def test_verify_bounds_builds_one_table(capsys, monkeypatch, check, tables):
+    """rs and ap read one prime table, and nothing holds it once the Montgomery-Vaughan check starts."""
+    built, mv_runs = [], []
+    real_table, real_mv = primes.primes_array, bounds.validate_mv_bound
+
+    def table(limit):
+        out = real_table(limit)
+        built.append(weakref.ref(out))
+        return out
+
+    def mv(*args, **kwargs):
+        assert all(ref() is None for ref in built)
+        mv_runs.append(1)
+        return real_mv(*args, **kwargs)
+
+    monkeypatch.setattr(primes, "primes_array", table)
+    monkeypatch.setattr(bounds, "validate_mv_bound", mv)
+    rc, out, _ = run(capsys, "verify", "bounds", "--check", check, "--x-max", "1e5", "--samples", "50")
+    assert rc == 0 and out.startswith("PASS: ")
+    assert len(built) == tables
+    assert len(mv_runs) == (check in ("mv", "all"))
 
 
 def test_corrupt_checkpoint_exit_code(tmp_path, capsys):
