@@ -113,24 +113,28 @@ def _max_omega(n: int) -> int:
 def coprime_counts(t: np.ndarray, a: np.ndarray):
     """(#{v <= t_i : gcd(v, a_i) = 1}, phi(a_i)) for int64 columns a >= 1 and t (t < 0 counts 0).
 
-    Exact integers throughout. The column is trial-divided by the primes up to
-    sqrt(max a), in int32 when max a < 2**31, each row's distinct primes
-    filling its slots in ascending order, then mobius(d) * (t // d) is summed
-    over the squarefree divisors d <= t of each row. A divisor past t adds 0,
-    and so does every multiple of it, so the sum descends only into the rows
-    whose divisor is still <= t and that have a prime in the next slot.
+    Exact integers throughout. Each whole period of a_i up to t_i holds phi(a_i)
+    such v, so only the tail r_i = t_i mod a_i is counted by inclusion-exclusion:
+    mobius(d) * (r // d) summed over the squarefree divisors d <= r of each row.
+    The column is trial-divided by the primes up to sqrt(max a), each row's
+    distinct primes filling its slots in ascending order; primes, tails and
+    quotients are int32 when max a < 2**31. A divisor past r adds 0, and so
+    does every multiple of it, so the sum descends only into the rows whose
+    divisor is still <= r, carrying q = r // d, since r // (d * p) = q // p.
     Nothing is sieved up to max a, so sparse columns stay cheap.
     """
     a = np.asarray(a, dtype=np.int64)
-    t = np.maximum(np.asarray(t, dtype=np.int64), 0)
     if a.size and a.min() < 1:
         raise ValueError("needs a >= 1")
+    periods, tail = np.divmod(np.maximum(np.asarray(t, dtype=np.int64), 0), a)
     a_max = int(a.max(initial=1))
     slots = max(_max_omega(a_max), 1)
-    fac = np.ones((slots, a.size), dtype=np.int64)  # fac[k, i]: the (k+1)-th smallest prime of a_i, if it has one
+    word = np.int32 if a_max < 2**31 else np.int64
+    # fac[k, i]: the (k+1)-th smallest prime of a_i; a slot the row does not fill holds a_max, past every tail
+    fac = np.full((slots, a.size), a_max, dtype=word)
     omega = np.zeros(a.size, dtype=np.int64)
     phi = a.copy()
-    rest = a.astype(np.int32 if a_max < 2**31 else np.int64)
+    rest = a.astype(word)
     for p in np.flatnonzero(primelib.sieve_segment(0, math.isqrt(a_max) + 1)).tolist():
         hit = np.flatnonzero(rest % p == 0)
         if not hit.size:
@@ -146,25 +150,21 @@ def coprime_counts(t: np.ndarray, a: np.ndarray):
         rest[hit] = r
     big = np.flatnonzero(rest > 1)  # one prime above sqrt(max a) at most
     fac[omega[big], big] = rest[big]
-    omega[big] += 1
     phi[big] = phi[big] // rest[big] * (rest[big] - 1)
+    counts = tail + periods * phi
 
-    # div * fac[k] <= t iff div <= room[k]; a slot a row does not fill has room -1
-    room = t // fac
-    room[np.arange(slots)[:, None] >= omega] = -1
-    counts = t.copy()
-
-    def add_multiples(rows, div, sign, first):
-        # the divisors div * (a product of slots >= first) of each row, for div <= t of that row
+    def add_multiples(rows, q, sign, first):
+        # q = r // d for a divisor d <= r of each row; adds the divisors d * (a product of slots >= first)
         for k in range(first, slots):
-            # a row's slots ascend, so one that fails here fails every later slot too
-            keep = div <= room[k, rows]
-            rows, div = rows[keep], div[keep]
+            p = fac[k, rows]
+            # a row's slots ascend, so a row whose q is below this slot's prime is below every later one too
+            keep = p <= q
+            rows, q, p = rows[keep], q[keep], p[keep]
             if not rows.size:
                 return
-            nxt = div * fac[k, rows]
-            counts[rows] += sign * (t[rows] // nxt)
+            nxt = q // p
+            counts[rows] += sign * nxt
             add_multiples(rows, nxt, -sign, k + 1)
 
-    add_multiples(np.arange(a.size), np.ones(a.size, dtype=np.int64), -1, 0)
+    add_multiples(np.arange(a.size), tail.astype(word), -1, 0)
     return counts, phi

@@ -110,7 +110,7 @@ def _rows():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_rows(), min_size=1, max_size=12))
 @example([(2**31 - 2, 2**31 - 1), (-1, 1), (5, 1), (40, 3**20)])  # int32 trial division, at its largest a
-@example([(2**30, 2**31), (6 * 65537, 4 * 65537), (0, 999983)])  # int64 trial division, at its least max a
+@example([(2**30, 2**31), (6 * 65537, 4 * 65537), (0, 999983), (2**63 - 1, 30030)])  # int64 trial division, at its least max a
 def test_coprime_counts_match_the_scalar_count(rows):
     a_max = max(a for _, a in rows)
     # plus the largest multiple of the largest primorial <= max a, which has as many distinct primes as any a <= max a
