@@ -42,6 +42,12 @@ X_MAX_CAP = 10**9
 SAMPLES_CAP = 10**6
 
 
+def check_cap(what: str, n: int, cap: int):
+    """Raise LimitExceeded when the size n of what passes cap; callers check before they sieve or draw."""
+    if n > cap:
+        raise LimitExceeded(f"{what} = {n} exceeds cap {cap}")
+
+
 @dataclass(frozen=True)
 class BoundReport:
     name: str
@@ -307,12 +313,6 @@ def case4_constant_exceeds(a: int, threshold) -> bool:
 
 # ----------------------------------------------------------------------
 # empirical validators for the envelopes
-
-
-def check_cap(what: str, n: int, cap: int):
-    """Raise LimitExceeded when the size n of what passes cap; callers check before they sieve or draw."""
-    if n > cap:
-        raise LimitExceeded(f"{what} = {n} exceeds cap {cap}")
 
 
 def log_spaced_ints(lo: int, hi: int, n: int) -> list:

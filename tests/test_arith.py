@@ -87,7 +87,6 @@ def test_coprime_count_fraction_and_float_bounds():
     assert arith.coprime_count_up_to(0, 7) == 0
 
 
-
 # primes above the square root of most columns drawn below, on both sides of 2**31 (2**31 - 1 is prime)
 _LARGE_PRIMES = (65537, 999983, 2**31 - 1, 2**31 + 11)
 
@@ -109,8 +108,9 @@ def _rows():
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_rows(), min_size=1, max_size=12))
-@example([(2**31 - 2, 2**31 - 1), (-1, 1), (5, 1), (40, 3**20)])  # int32 trial division, at its largest a
-@example([(2**30, 2**31), (6 * 65537, 4 * 65537), (0, 999983), (2**63 - 1, 30030)])  # int64 trial division, at its least max a
+# int32 arithmetic at its largest max a; int64 at its least, with t at the int64 maximum
+@example([(2**31 - 2, 2**31 - 1), (-1, 1), (5, 1), (40, 3**20)])
+@example([(2**30, 2**31), (6 * 65537, 4 * 65537), (0, 999983), (2**63 - 1, 30030)])
 def test_coprime_counts_match_the_scalar_count(rows):
     a_max = max(a for _, a in rows)
     # plus the largest multiple of the largest primorial <= max a, which has as many distinct primes as any a <= max a
@@ -118,7 +118,7 @@ def test_coprime_counts_match_the_scalar_count(rows):
     widest = max(itertools.takewhile(lambda q: q <= a_max, primorials), default=1)
     widest *= a_max // widest
     assert arith.omega(widest) == arith._max_omega(a_max)
-    rows += [(a_max // 7, widest), (a_max + 1, widest)]
+    rows = [*rows, (a_max // 7, widest), (a_max + 1, widest)]
     t, a = (np.array(col, dtype=np.int64) for col in zip(*rows))
     counts, phi = arith.coprime_counts(t, a)
     assert counts.dtype == phi.dtype == np.int64

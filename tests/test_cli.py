@@ -321,13 +321,13 @@ def test_bad_inputs(capsys, monkeypatch):
     monkeypatch.setattr(primes, "primes_array", lambda *args: pytest.fail("prime table built"))
     monkeypatch.setattr(bounds, "_mv_draws", lambda *args: pytest.fail("samples drawn"))
     monkeypatch.setattr(verify, "reproduce_thm1_cases", lambda *args, **kwargs: pytest.fail("thm1 case run"))
-    over = [("bounds", "--x-max", x, "--check", check) for x in ("1e30", "1000000001") for check in ("all", "rs", "mv")]
-    over += [("bounds", "--samples", "1000001", "--check", check) for check in ("all", "ap", "mv")]
-    over += [("thm1", "--samples", "1000001", "--case", case) for case in ("1", "all")]
+    x_over, samples_over = str(bounds.X_MAX_CAP + 1), str(bounds.SAMPLES_CAP + 1)
+    over = [("bounds", "--x-max", x, "--check", check) for x in ("1e30", x_over) for check in ("all", "rs", "mv")]
+    over += [("bounds", "--samples", samples_over, "--check", check) for check in ("all", "ap", "mv")]
+    over += [("thm1", "--samples", samples_over, "--case", case) for case in ("1", "all")]
     for argv in over:
         rc, out, err = run(capsys, "verify", *argv)
         assert (rc, out) == (3, "") and f"{argv[1]} = " in err and "exceeds cap" in err, argv
-    assert bounds.X_MAX_CAP == 10**9 and bounds.SAMPLES_CAP == 10**6
 
 
 @pytest.mark.parametrize("check,tables", [("all", 1), ("rs", 1), ("ap", 1), ("mv", 0)])
