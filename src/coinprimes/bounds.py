@@ -1,25 +1,23 @@
 """Closed-form bound evaluators, guarded strict comparisons, envelope validators.
 
-All logarithms are natural. Plain evaluators return doubles; every strict
-comparison that decides a verification verdict goes through a guard: if the
-double-precision margin is below REL_GUARD (relative), the comparison is
-re-run in interval arithmetic at escalating precision until the enclosures
-separate. The compared quantities are integers or decimal rationals on one
-side and log-bearing expressions on the other, so exact ties cannot occur
-and the escalation terminates.
+All logarithms are natural. Each bound is one private expression of log and
+its arguments (_thm2, _rs_lower, _rs_upper, _ap_lower, _ap_upper, _mv,
+_delta, _case4, and _half_window of thm3). The plain evaluators call it with
+math.log, the column functions with _logs (math.log per value, so each row
+equals the plain evaluator bit for bit; the thm3 window has no plain
+evaluator and takes np.log), and _rows with iv.log on the exact values of one
+row's arguments. Every strict comparison that decides a verdict is guarded:
+guarded_greater_column decides it from the doubles, and re-runs only the rows
+within REL_GUARD (relative) in interval arithmetic at escalating precision,
+each side built by _rows from the expression its double came from (_value for
+an integer count or a rational threshold). One side is exact and the other
+log-bearing, so ties cannot occur and the escalation terminates. The scalar
+guarded verdicts are one-row calls of the column ones.
 
-The scans work on numpy columns. delta_column evaluates delta for a whole
-column of a at once: floor(d*a), phi(a) and the coprime count are exact
-integers, and the double expression repeats the scalar one operation for
-operation, so each row equals delta bit for bit. guarded_greater_column
-decides a column comparison from the doubles and sends only the rows within
-REL_GUARD to the interval guard; thm2_rhs_column and
-pi_star_exceeds_thm2_rhs_column do the same for the thm2 threshold of a
-sweep block. The envelope validators count primes with
-one searchsorted, one bincount per slice for the progressions (both over one
-prime table the caller builds and passes), or one strided view of a prime
-bitmap per Montgomery-Vaughan sample, and compare whole columns of counts
-against the envelopes the same way.
+The envelope validators count primes with one searchsorted, one bincount per
+slice for the progressions (both over one prime table the caller builds and
+passes), or one strided view of a prime bitmap per Montgomery-Vaughan sample,
+and compare whole columns of counts against the envelopes the same way.
 """
 
 import math
@@ -37,9 +35,11 @@ _GUARD_PRECISIONS = (120, 240, 480, 960)
 
 # The largest sizes a run may ask for. Past X_MAX_CAP the envelope checks' prime table would
 # pass 400 MB of int64; each sample is a Python tuple of the Montgomery-Vaughan check or a
-# delta row of thm1 case 1, all held at once.
+# delta row of thm1 case 1, all held at once; a sweep holds the record columns of every pair
+# of its grid, and GRID_CAP bounds verify.grid_size.
 X_MAX_CAP = 10**9
 SAMPLES_CAP = 10**6
+GRID_CAP = 5 * 10**6
 
 
 def check_cap(what: str, n: int, cap: int):
@@ -70,6 +70,71 @@ class EnvelopeCheck:
 
 
 # ----------------------------------------------------------------------
+# the bounds, each one expression of log and its arguments
+
+
+def _value(log, x):  # the exact side of a comparison: a count or a threshold
+    return x
+
+
+def _thm2(log, a, s):
+    return (0.5 + 0.5 / (a - 1)) * s / log(s)
+
+
+def _rs_lower(log, x):
+    return x / log(x)
+
+
+def _rs_upper(log, x):
+    lx = log(x)
+    return x / lx * (1.0 + 1.5 / lx)
+
+
+def _ap_lower(log, x, phi):
+    return x / (phi * log(x))
+
+
+def _ap_upper(log, x, phi):
+    lx = log(x)
+    return x / (phi * lx) * (1.0 + 2.5 / lx)
+
+
+def _mv(log, y, k, phi):
+    return 2.0 * y / (phi * log(y / k))
+
+
+def _delta(log, d, a, ds, n_cop, phi):
+    log_ds = log(ds)
+    return (1.0 - (2.0 * n_cop / phi) / (1.0 - log(a) / log_ds) - log_ds / ds) * d
+
+
+def _case4(log, a):
+    t = 180 * a - 181
+    lt = log(t)
+    return (1.0 / a - lt / t) / (1.0 + 1.5 / lt)
+
+
+def _half_window(log, a, n):
+    return n / log(n) * (1.0 + 1.0 / (a - 1))
+
+
+def _logs(x):
+    """math.log of each value of a column: np.log is one ulp off on some values."""
+    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=len(x))
+
+
+def _rows(expr, *columns):
+    """The interval builder of row i of expr, on the exact value (int, Fraction or float) of each column at i:
+    a sequence's item i, or a callable's value at i; any other argument is every row's."""
+
+    def row(i):
+        args = [c(i) if callable(c) else c[i] if hasattr(c, "__getitem__") else c for c in columns]
+        return lambda iv: expr(iv.log, *(iv.mpf(int(q.numerator)) / int(q.denominator) for q in map(Fraction, args)))
+
+    return row
+
+
+# ----------------------------------------------------------------------
 # plain evaluators
 
 
@@ -79,39 +144,33 @@ def thm2_rhs(a: int, s) -> float:
         raise DomainError("needs a >= 3")
     if s < 2:
         raise DomainError("needs s >= 2")
-    return (0.5 + 0.5 / (a - 1)) * s / math.log(s)
+    return _thm2(math.log, a, s)
 
 
 def thm2_rhs_column(a, s) -> np.ndarray:
-    """thm2_rhs(a_i, s_i) for integer columns with a >= 3 and s >= 2, each row bit for bit the scalar value.
-
-    The logs are math.log mapped over s: np.log is one ulp off on some s.
-    Object columns (integers past int64) follow Python's int and float rules, as the scalar does.
-    """
-    log_s = np.fromiter(map(math.log, s.tolist()), dtype=float, count=len(s))
-    return np.asarray((0.5 + 0.5 / (a - 1)) * s / log_s, dtype=float)
+    """thm2_rhs(a_i, s_i) for integer columns with a >= 3 and s >= 2; object columns (past int64) too."""
+    return np.asarray(_thm2(_logs, a, s), dtype=float)
 
 
 def mv_upper(x, y, k: int, l: int) -> float:
     """2y / (phi(k) log(y/k)): upper bound for primes in (x, x+y] in a class mod k."""
     if k < 1 or not k < y:
         raise DomainError("needs 1 <= k < y")
-    return 2.0 * y / (arith.euler_phi(k) * math.log(y / k))
+    return _mv(math.log, y, k, arith.euler_phi(k))
 
 
 def rs_pi_lower(x) -> float:
     """x / log x < pi(x), valid for x >= 17."""
     if x < 17:
         raise DomainError("valid for x >= 17")
-    return x / math.log(x)
+    return _rs_lower(math.log, x)
 
 
 def rs_pi_upper(x) -> float:
     """pi(x) < (x / log x)(1 + 3/(2 log x)), valid for x > 1."""
     if x <= 1:
         raise DomainError("valid for x > 1")
-    lx = math.log(x)
-    return x / lx * (1.0 + 1.5 / lx)
+    return _rs_upper(math.log, x)
 
 
 def ap_fixed_range_bounds(x, m: int):
@@ -120,9 +179,8 @@ def ap_fixed_range_bounds(x, m: int):
         raise DomainError("needs 1 <= m <= 1200")
     if x < 50 * m * m:
         raise DomainError("needs x >= 50 * m**2")
-    lx = math.log(x)
-    base = x / (arith.euler_phi(m) * lx)
-    return base, base * (1.0 + 2.5 / lx)
+    phi = arith.euler_phi(m)
+    return _ap_lower(math.log, x, phi), _ap_upper(math.log, x, phi)
 
 
 def _times_fraction(q: Fraction, x: np.ndarray):
@@ -135,18 +193,12 @@ def _times_fraction(q: Fraction, x: np.ndarray):
     return np.array([num * v // den for v in xs], dtype=np.int64), np.array([num * v / den for v in xs], dtype=float)
 
 
-def delta_column(d, a, s) -> np.ndarray:
-    """delta(d, a_i, s_i) for int64 columns a and s, each row bit for bit the value of delta.
-
-    floor(d*a) and the coprime count below it are exact integers (arith.coprime_counts);
-    d*s is the correctly rounded double of the exact product, and the logs are math.log,
-    so every row repeats the scalar operations in the same order.
-    """
+def _delta_args(d, a, s) -> tuple:
+    """The arguments (d, a, d*s, coprime count, phi(a)) of _delta over int64 columns a and s: d*s the correctly
+    rounded double of the exact product, the count of v <= floor(d*a) coprime to a and phi(a) exact integers."""
     if not 0 < d <= 1:
         raise DomainError("needs 0 < d <= 1")
     q = Fraction(d)
-    a = np.asarray(a, dtype=np.int64)
-    s = np.asarray(s, dtype=np.int64)
     if a.size and a.min() < 3:
         raise DomainError("needs a >= 3")
     ds_floor, ds = _times_fraction(q, s)
@@ -155,21 +207,17 @@ def delta_column(d, a, s) -> np.ndarray:
         q.numerator * int(s[i]) % q.denominator == 0 for i in np.flatnonzero(ds_floor == a).tolist()
     ):
         raise DomainError("needs d*s >= 17 and a < d*s")
-    n_cop, phi = arith.coprime_counts(_times_fraction(q, a)[0], a)
-    log_ds = np.fromiter(map(math.log, ds.tolist()), dtype=float, count=ds.size)
-    log_a = np.fromiter(map(math.log, a.tolist()), dtype=float, count=a.size)
-    term = 1.0 - (2.0 * n_cop / phi) / (1.0 - log_a / log_ds) - log_ds / ds
-    return term * float(d)
+    return (float(q), a, ds, *arith.coprime_counts(_times_fraction(q, a)[0], a))
+
+
+def delta_column(d, a, s) -> np.ndarray:
+    """delta(d, a_i, s_i) for int64 columns a and s, each row bit for bit the value of delta."""
+    return _delta(_logs, *_delta_args(d, np.asarray(a, dtype=np.int64), np.asarray(s, dtype=np.int64)))
 
 
 def delta(d, a: int, s) -> float:
-    """Guaranteed share of primes <= s that the semigroup misses, at cut d.
-
-    d may be float or Fraction; either is taken at its exact value, so the
-    inner coprime count floor is exact. Valid when d*s >= 17 and a < d*s.
-    The one-row call of delta_column, whose column factorization supplies
-    phi(a) and the coprime count.
-    """
+    """Guaranteed share of primes <= s that the semigroup misses, at cut d (float or Fraction, taken exactly),
+    for d*s >= 17 and a < d*s: the one-row call of delta_column."""
     return float(delta_column(d, [a], [s])[0])
 
 
@@ -177,17 +225,11 @@ def case4_constant(a: int) -> float:
     """(1/a - log t / t) / (1 + 3/(2 log t)) with t = 180a - 181, for 3 <= a <= 15."""
     if not 3 <= a <= 15:
         raise DomainError("needs 3 <= a <= 15")
-    t = 180 * a - 181
-    lt = math.log(t)
-    return (1.0 / a - lt / t) / (1.0 + 1.5 / lt)
+    return _case4(math.log, a)
 
 
 # ----------------------------------------------------------------------
 # guarded strict comparisons
-
-
-def _iv_frac(ctx, q: Fraction):
-    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
 
 
 def _interval_strictly_greater(lhs_fn, rhs_fn) -> bool:
@@ -231,84 +273,45 @@ def guarded_greater_column(lhs, rhs, lhs_iv, rhs_iv) -> np.ndarray:
     return out
 
 
-def _int_iv(n):
-    return lambda iv: iv.mpf(int(n))
-
-
-def _thm2_rhs_iv(a, s):
-    def build(iv):
-        return (iv.mpf(1) / 2 + iv.mpf(1) / (2 * (a - 1))) * iv.mpf(s) / iv.log(iv.mpf(s))
-
-    return build
+def _exceeds_column(vals, threshold, expr, *columns) -> np.ndarray:
+    """Guarded verdicts vals_i > threshold (exact as Fraction), vals being the doubles of expr over the columns."""
+    thr = Fraction(threshold)
+    return guarded_greater_column(vals, float(thr), _rows(expr, *columns), _rows(_value, thr))
 
 
 def pi_star_exceeds_thm2_rhs(pi_star: int, a: int, s: int, rhs: float) -> bool:
     """Guarded verdict for the strict inequality pi_star > thm2_rhs(a, s); rhs is that double, from the caller."""
-    return guarded_strictly_greater(float(pi_star), rhs, lambda iv: iv.mpf(pi_star), _thm2_rhs_iv(a, s))
+    return bool(pi_star_exceeds_thm2_rhs_column([pi_star], [a], [s], rhs)[0])
 
 
 def pi_star_exceeds_thm2_rhs_column(pi_star, a, s, rhs) -> np.ndarray:
-    """pi_star_exceeds_thm2_rhs row by row over integer columns; rhs is thm2_rhs_column(a, s), from the caller."""
-    return guarded_greater_column(
-        pi_star, rhs, lambda i: _int_iv(pi_star[i]), lambda i: _thm2_rhs_iv(int(a[i]), int(s[i]))
-    )
-
-
-def _delta_iv(d, a, s):
-    d = Fraction(d)
-    fac = arith.factor(a)
-    n_cop = arith.coprime_count_up_to(d * a, a, factored=fac)
-    phi = arith.phi_of(fac)
-
-    def build(iv):
-        dv = _iv_frac(iv, d)
-        ds = dv * s
-        log_ds = iv.log(ds)
-        term = 1 - (iv.mpf(2 * n_cop) / phi) / (1 - iv.log(iv.mpf(a)) / log_ds) - log_ds / ds
-        return term * dv
-
-    return build
+    """pi_star > thm2_rhs, guarded, row by row over integer columns; rhs is thm2_rhs_column(a, s), from the caller."""
+    return guarded_greater_column(pi_star, rhs, _rows(_value, pi_star), _rows(_thm2, a, s))
 
 
 def delta_exceeds(d, a: int, s, threshold) -> bool:
     """Guarded verdict for delta(d, a, s) > threshold (threshold exact as Fraction)."""
-    thr = Fraction(threshold)
-    # _delta_iv counts coprimes when built, so build it only if the guard escalates
-    return guarded_strictly_greater(
-        delta(d, a, s),
-        float(thr),
-        lambda iv: _delta_iv(d, a, s)(iv),
-        lambda iv: _iv_frac(iv, thr),
-    )
+    return bool(delta_exceeds_column(d, [a], [s], threshold)[1][0])
 
 
 def delta_exceeds_column(d, a, s, threshold):
-    """(delta_column(d, a, s), guarded verdicts delta > threshold) for int64 columns a and s.
-
-    The verdicts are those of delta_exceeds, row by row: only rows within the
-    guard's margin of the threshold are built in interval arithmetic.
-    """
-    a = np.asarray(a, dtype=np.int64)
+    """(delta_column(d, a, s), guarded verdicts delta > threshold) for int64 columns a and s; a row that
+    escalates is built from the column's own coprime counts and the exact d*s."""
     s = np.asarray(s, dtype=np.int64)
-    vals = delta_column(d, a, s)
-    thr = Fraction(threshold)
-    above = guarded_greater_column(
-        vals, float(thr), lambda i: _delta_iv(d, int(a[i]), int(s[i])), lambda i: lambda iv: _iv_frac(iv, thr)
-    )
-    return vals, above
+    dd, a, ds, n_cop, phi = _delta_args(d, np.asarray(a, dtype=np.int64), s)
+    vals, q = _delta(_logs, dd, a, ds, n_cop, phi), Fraction(d)
+    return vals, _exceeds_column(vals, threshold, _delta, q, a, lambda i: q * int(s[i]), n_cop, phi)
 
 
 def case4_constant_exceeds(a: int, threshold) -> bool:
     """Guarded verdict for case4_constant(a) > threshold."""
-    val = case4_constant(a)
-    thr = Fraction(threshold)
-    t = 180 * a - 181
+    return bool(_exceeds_column([case4_constant(a)], threshold, _case4, [a])[0])
 
-    def build(iv):
-        lt = iv.log(iv.mpf(t))
-        return (iv.mpf(1) / a - lt / t) / (1 + iv.mpf(3) / (2 * lt))
 
-    return guarded_strictly_greater(val, float(thr), build, lambda iv: _iv_frac(iv, thr))
+def half_window_exceeds_column(a: int, n, counts) -> np.ndarray:
+    """Guarded verdicts (n_i / log n_i)(1 + 1/(a-1)) > counts_i over an int64 column n >= 2, for a >= 3."""
+    # np.log: no plain evaluator to match, and math.log per value cost thm3 about 0.13 s on its 8e5 rows
+    return guarded_greater_column(_half_window(np.log, a, n), counts, _rows(_half_window, a, n), _rows(_value, counts))
 
 
 # ----------------------------------------------------------------------
@@ -323,29 +326,6 @@ def log_spaced_ints(lo: int, hi: int, n: int) -> list:
     return sorted({min(max(int(round(v)), lo), hi) for v in vals})
 
 
-def _rs_iv(x, upper: bool):
-    def build(iv):
-        lx = iv.log(iv.mpf(x))
-        return iv.mpf(x) / lx * (1 + iv.mpf(3) / (2 * lx)) if upper else iv.mpf(x) / lx
-
-    return build
-
-
-def _ap_iv(x, m, upper: bool):
-    phi = arith.euler_phi(m)
-
-    def build(iv):
-        lx = iv.log(iv.mpf(x))
-        base = iv.mpf(x) / (phi * lx)
-        return base * (1 + iv.mpf(5) / (2 * lx)) if upper else base
-
-    return build
-
-
-def _mv_iv(y, k, phi):
-    return lambda iv: 2 * iv.mpf(y) / (phi * iv.log(iv.mpf(y) / k))
-
-
 def validate_rs_envelope(p: np.ndarray, x_max: int, points: int = 200) -> EnvelopeCheck:
     """Check x/log x < pi(x) < rs_pi_upper(x) on a log-spaced grid from 17 to x_max.
 
@@ -355,8 +335,8 @@ def validate_rs_envelope(p: np.ndarray, x_max: int, points: int = 200) -> Envelo
     counts = np.searchsorted(p, xs, side="right").tolist()
     lows = [rs_pi_lower(x) for x in xs]
     highs = [rs_pi_upper(x) for x in xs]
-    lower_ok = guarded_greater_column(counts, lows, lambda i: _int_iv(counts[i]), lambda i: _rs_iv(xs[i], False))
-    upper_ok = guarded_greater_column(highs, counts, lambda i: _rs_iv(xs[i], True), lambda i: _int_iv(counts[i]))
+    lower_ok = guarded_greater_column(counts, lows, _rows(_value, counts), _rows(_rs_lower, xs))
+    upper_ok = guarded_greater_column(highs, counts, _rows(_rs_upper, xs), _rows(_value, counts))
     violations = []
     for i in np.flatnonzero(~(lower_ok & upper_ok)).tolist():
         x, c, lo, hi = xs[i], counts[i], lows[i], highs[i]
@@ -406,13 +386,10 @@ def validate_ap_envelope(p: np.ndarray, m_max: int, x_max: int, points: int = 20
         counts = by_m[m][:, ls].T  # row l, column x
         env = [ap_fixed_range_bounds(x, m) for x in xs]
         lows, highs = np.array(env).T
-        nx = len(xs)
-        lower_ok = guarded_greater_column(
-            counts, lows, lambda i: _int_iv(counts.flat[i]), lambda i: _ap_iv(xs[i % nx], m, False)
-        )
-        upper_ok = guarded_greater_column(
-            highs, counts, lambda i: _ap_iv(xs[i % nx], m, True), lambda i: _int_iv(counts.flat[i])
-        )
+        nx, phi = len(xs), len(ls)  # phi(m): the classes coprime to m
+        x_flat = np.tile(xs, len(ls))  # the x of each flat row
+        lower_ok = guarded_greater_column(counts, lows, _rows(_value, counts.flat), _rows(_ap_lower, x_flat, phi))
+        upper_ok = guarded_greater_column(highs, counts, _rows(_ap_upper, x_flat, phi), _rows(_value, counts.flat))
         checked += 2 * counts.size
         for i in np.flatnonzero(~(lower_ok & upper_ok)).tolist():
             row, col = divmod(i, nx)
@@ -472,11 +449,8 @@ def validate_mv_bound(
     spans = zip(firsts.tolist(), ends.tolist(), k.tolist())
     counts = np.fromiter((np.count_nonzero(flags[f:e:m]) for f, e, m in spans), dtype=np.int64, count=samples)
     phi = arith.coprime_counts(np.zeros_like(k), k)[1]
-    log_yk = np.fromiter(map(math.log, (y / k).tolist()), dtype=float, count=samples)
-    uppers = 2.0 * y / (phi * log_yk)
-    ok = guarded_greater_column(
-        uppers, counts, lambda i: _mv_iv(int(y[i]), int(k[i]), int(phi[i])), lambda i: _int_iv(counts[i])
-    )
+    uppers = _mv(_logs, y, k, phi)
+    ok = guarded_greater_column(uppers, counts, _rows(_mv, y, k, phi), _rows(_value, counts))
     violations = []
     for i in np.flatnonzero(~ok).tolist():
         (x_i, y_i, k_i, l_i), count, bound = draws[i], int(counts[i]), float(uppers[i])

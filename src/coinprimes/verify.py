@@ -272,14 +272,22 @@ def _checked_counts(obj) -> tuple:
     return a, b, s, pi_star, pi_s
 
 
+def _possible(s, pi_s):
+    """Whether pi(s) = pi_s can be (integers or columns): none if s < 2, else at most 2 and the odd n in [3, s]."""
+    return (pi_s == 0) | ((s >= 2) & (pi_s <= s - s // 2))
+
+
 def _check_derived(obj: dict, line: str):
-    """Raise CheckpointCorrupt unless obj, ms aside, equals the canonical line derived from its counts."""
+    """Raise CheckpointCorrupt unless obj, ms aside, equals the line derived from its counts, and pi_s is _possible."""
     derived = json.loads(line)  # dicts, not records, so that null == null where nan != nan
     derived["ms"] = obj["ms"]
     if derived != obj:
         raise CheckpointCorrupt(
             f"({obj['a']},{obj['b']}): fields {[k for k in obj if obj[k] != derived[k]]} disagree with the counts"
         )
+    if not _possible(obj["s"], obj["pi_s"]):
+        a, b, s, pi_s = (obj[key] for key in ("a", "b", "s", "pi_s"))
+        raise CheckpointCorrupt(f"({a},{b}): pi_s = {pi_s} is more primes than fit up to s = {s}")
 
 
 def record_from_dict(obj) -> VerificationRecord:
@@ -346,11 +354,12 @@ def _checkpoint_block(lines: list, first: int) -> RecordColumns:
     """Records of the complete checkpoint lines numbered first, first + 1, ..., in file order.
 
     A line is taken as it is when it equals, byte for byte, the canonical line
-    of the counts in its head, with pi_star <= pi_s. Every other line is parsed
-    and checked (_checked_counts), the block's counts are re-derived together,
-    and each such line is compared with its derived line (_check_derived); the
-    first bad line in file order is reported, with the message it gets on its
-    own (record_from_dict).
+    of the counts in its head, with pi_star <= pi_s and a possible pi_s
+    (_possible). Every other line is parsed and checked (_checked_counts), the
+    block's counts are re-derived together, and each such line is compared
+    with its derived line and its pi_s checked (_check_derived); the first bad
+    line in file order is reported, with the message it gets on its own
+    (record_from_dict).
     """
     data = b"".join(lines)
     heads = _CANONICAL_HEAD.findall(data)
@@ -360,7 +369,7 @@ def _checkpoint_block(lines: list, first: int) -> RecordColumns:
     a, b, pi_star, pi_s = np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 4).T
     cols = _verdict_columns(a, b, a * b - a - b, pi_star, pi_s)
     derived = ("\n".join(json_lines(cols)) + "\n").encode()
-    ordered = pi_star <= pi_s
+    ordered = (pi_star <= pi_s) & _possible(cols.s, pi_s)
     if derived == data and ordered.all():
         return cols
     rows, objs, error = [], {}, None  # objs: row -> parsed object of each line taken the long way
@@ -600,16 +609,7 @@ def _strict_half_window_ok(a: int) -> bool:
     table = primelib.primes_array(hi)
     ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
     counts = np.searchsorted(table, ns, side="right")
-    rhs = ns / np.log(ns) * (1.0 + 1.0 / (a - 1))
-    # a row within the guard's margin is re-decided in intervals, so np.log's last bit cannot flip a verdict
-    below = bounds.guarded_greater_column(
-        rhs, counts, lambda i: _window_rhs_iv(a, int(ns[i])), lambda i: lambda iv: iv.mpf(int(counts[i]))
-    )
-    return bool(below.all())
-
-
-def _window_rhs_iv(a: int, n: int):
-    return lambda iv: iv.mpf(n) / iv.log(iv.mpf(n)) * (1 + iv.mpf(1) / (a - 1))
+    return bool(bounds.half_window_exceeds_column(a, ns, counts).all())
 
 
 def reproduce_thm3(a: int) -> Thm3Report:
@@ -738,10 +738,30 @@ class SweepResult:
         return self.columns.records()
 
 
+def _grid_a_range(cfg: SweepConfig) -> range:
+    """The a of the grid; under the upto rule it ends at b_max - 1, as no larger a has a b > a."""
+    top = cfg.a_max if cfg.b_rule != B_RULE_UPTO else min(cfg.a_max, b_limit(B_RULE_UPTO, 0, cfg.b_max) - 1)
+    return range(cfg.a_min, top + 1)
+
+
+def grid_size(cfg: SweepConfig) -> int:
+    """The number of b in (a, b_limit(a)] over the grid's a, at least its pairs: a closed form, no loop over a,
+    save under the exp-threshold rule, which is defined for 2 <= a <= 10 only."""
+    a = _grid_a_range(cfg)
+    n, lo = len(a), a.start
+    hi = lo + n - 1  # lo - 1 when the range is empty
+    a_sum = (lo + hi) * n // 2
+    if cfg.b_rule == B_RULE_UPTO:
+        return n * cfg.b_max - a_sum
+    if cfg.b_rule == B_RULE_50A2:  # 50 times the sum of a^2, less the sum of a
+        return 50 * (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6 - a_sum
+    return sum(b_limit(cfg.b_rule, x) - x for x in a)
+
+
 def grid_pairs(cfg: SweepConfig) -> dict:
     """Coprime b values per a, always with b > a."""
     out = {}
-    for a in range(cfg.a_min, cfg.a_max + 1):
+    for a in _grid_a_range(cfg):
         hi = b_limit(cfg.b_rule, a, cfg.b_max)
         bs = _coprime_bs(a, a + 1, hi)
         if bs.size:
@@ -788,8 +808,10 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     recomputed. A task is up to BLOCK_ROWS pending values of b of one a; a pool
     gets about four tasks per worker, the tasks of the largest a first. Each a's
     reused rows and new blocks are put in b order once, at the end, and
-    SweepResult.columns is the concatenation of those per-a columns.
+    SweepResult.columns is the concatenation of those per-a columns. Past
+    bounds.GRID_CAP pairs (grid_size) it raises LimitExceeded first.
     """
+    bounds.check_cap("grid pairs", grid_size(cfg), bounds.GRID_CAP)
     grid = grid_pairs(cfg)
     done = load_checkpoint(cfg.checkpoint_path) if cfg.checkpoint_path else _concat([])
     parts, pending = {}, {}  # per a, ascending: its blocks (the reused rows first), and the b values to compute

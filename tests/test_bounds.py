@@ -4,6 +4,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinprimes import arith, bounds, primes, verify
 from coinprimes.errors import DomainError
@@ -379,3 +381,110 @@ def test_mv_counts_reach_past_y_max(monkeypatch):
 def test_mv_bound_without_samples():
     mv = bounds.validate_mv_bound(samples=0)
     assert mv.n_checked == 0 and mv.ok
+
+
+# Each case draws a point of one bound's domain and returns (the double its public evaluator gives, the
+# interval builder of that row as the guard would build it, the scale whose ulp measures the double's
+# rounding). The scale is the value itself, except where the expression amplifies the rounding of its
+# arguments: log(y/k) near y = k (Montgomery-Vaughan), and the terms of delta, which cancel.
+
+
+def _thm2_case(draw):
+    a = draw(st.one_of(st.integers(3, 100), st.integers(3, 2**100)))
+    s = draw(st.one_of(st.integers(2, 10**6), st.integers(2, 2**900)))
+    a_col, s_col = verify._int_column([a]), verify._int_column([s])  # object columns past int64, as a sweep has them
+    value = bounds.thm2_rhs(a, s)
+    assert bounds.thm2_rhs_column(a_col, s_col)[0] == value
+    return value, bounds._rows(bounds._thm2, a_col, s_col)(0), value
+
+
+def _rs_case(upper):
+    def case(draw):
+        x = draw(st.one_of(st.integers(2 if upper else 17, 10**4), st.integers(17, 2**62)))
+        value = bounds.rs_pi_upper(x) if upper else bounds.rs_pi_lower(x)
+        return value, bounds._rows(bounds._rs_upper if upper else bounds._rs_lower, [x])(0), value
+
+    return case
+
+
+def _ap_case(upper):
+    def case(draw):
+        m = draw(st.integers(1, 1200))
+        x = draw(st.one_of(st.integers(50 * m * m, 100 * m * m), st.integers(50 * m * m, 2**62)))
+        value = bounds.ap_fixed_range_bounds(x, m)[upper]
+        return value, bounds._rows(bounds._ap_upper if upper else bounds._ap_lower, [x], arith.euler_phi(m))(0), value
+
+    return case
+
+
+def _mv_case(draw):
+    k = draw(st.integers(1, 10**7))
+    y = draw(st.one_of(st.integers(k + 1, k + 3), st.integers(k + 1, 2 * k + 2), st.integers(k + 1, 2**50)))
+    value = bounds.mv_upper(0, y, k, 0)
+    build = bounds._rows(bounds._mv, np.array([y]), np.array([k]), np.array([arith.euler_phi(k)]))(0)
+    return value, build, value * (1 + 1 / math.log(y / k))
+
+
+def _delta_case(draw):
+    den = draw(st.integers(1, 10**6))
+    d = draw(st.one_of(st.builds(Fraction, st.integers(1, den), st.just(den)), st.sampled_from([0.1, 0.0904, 0.5, 1.0])))
+    q = Fraction(d)
+    a = draw(st.one_of(st.integers(3, 200), st.integers(3, 10**7)))
+    s_min = math.ceil(max(a + 1, 17) / q)  # the least s with d*s >= 17 and d*s > a
+    s = draw(st.one_of(st.integers(s_min, s_min + 20), st.integers(s_min, min(2**62, 10**6 * s_min))))
+    value = bounds.delta(d, a, s)
+    # phi(a) and the coprime count by the scalar factorization, independent of the columns' arith.coprime_counts
+    n_cop, phi = arith.coprime_count_up_to(q * a, a), arith.euler_phi(a)
+    build = bounds._rows(bounds._delta, q, [a], [q * s], [n_cop], [phi])(0)
+    ds = float(q * s)
+    r = math.log(a) / math.log(ds)
+    return value, build, float(d) * (1 + 2 * n_cop / phi / (1 - r) ** 2 + math.log(ds) / ds)
+
+
+def _case4_case(draw):
+    a = draw(st.integers(3, 15))
+    value = bounds.case4_constant(a)
+    return value, bounds._rows(bounds._case4, [a])(0), value
+
+
+def _half_window_case(draw):
+    a = draw(st.integers(3, 10**4))
+    n = np.array([draw(st.one_of(st.integers(2, 10**6), st.integers(2, 2**62)))])
+    value = float(bounds._half_window(np.log, a, n)[0])  # the doubles of half_window_exceeds_column
+    return value, bounds._rows(bounds._half_window, a, n)(0), value
+
+
+_BOUND_CASES = {
+    "thm2": _thm2_case,
+    "rs-lower": _rs_case(False),
+    "rs-upper": _rs_case(True),
+    "ap-lower": _ap_case(False),
+    "ap-upper": _ap_case(True),
+    "mv": _mv_case,
+    "delta": _delta_case,
+    "case4": _case4_case,
+    "half-window": _half_window_case,
+}
+
+
+def _interval_miss(build, value) -> float:
+    """How far the double value lies outside build(iv) at the guard's first precision; 0 inside."""
+    iv = mpmath.iv
+    old, iv.prec = iv.prec, bounds._GUARD_PRECISIONS[0]
+    try:
+        enc = build(iv)
+    finally:
+        iv.prec = old
+    with mpmath.workprec(1024):
+        lo, hi, v = mpmath.mpf(enc.a), mpmath.mpf(enc.b), mpmath.mpf(value)
+        return float(max(lo - v, v - hi, 0))
+
+
+@pytest.mark.parametrize("case", sorted(_BOUND_CASES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_interval_rows_enclose_the_doubles(case, data):
+    """The interval a guard escalates to and the double it first compares are one expression: at 120
+    bits the row builder's enclosure holds the public evaluator's double, give or take a few ulps."""
+    value, build, scale = _BOUND_CASES[case](data.draw)
+    assert _interval_miss(build, value) <= 4 * math.ulp(scale)

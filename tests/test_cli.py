@@ -328,6 +328,36 @@ def test_bad_inputs(capsys, monkeypatch):
     for argv in over:
         rc, out, err = run(capsys, "verify", *argv)
         assert (rc, out) == (3, "") and f"{argv[1]} = " in err and "exceeds cap" in err, argv
+    # grids past bounds.GRID_CAP pairs exit 3 before any b column is built
+    monkeypatch.setattr(verify, "grid_pairs", lambda *args: pytest.fail("grid built"))
+    over_b = str(bounds.GRID_CAP + 4)
+    grids = [("coj2", "--a", "3", "--b-max", "100000000000"), ("coj2", "--a-max", "100000"), ("thm2", "--a-max", "70")]
+    grids += [("thm1", "--a", "1", "--b-max", over_b), ("coj2", "--a-max", "1000000000", "--b-max", "100000")]
+    for argv in grids:
+        rc, out, err = run(capsys, "verify", *argv)
+        assert (rc, out) == (3, "") and "grid pairs = " in err and "exceeds cap" in err, argv
+
+
+def test_the_grid_cap_admits_the_documented_grids(capsys):
+    """Under the upto rule no a >= b_max has a pair, so a huge --a-max with a small --b-max runs at once."""
+    rc, out, _ = run(capsys, "verify", "coj2", "--a-max", "1000000000", "--b-max", "10")
+    assert rc == 0 and out.startswith("coj2: checked 18 pairs, a in [3,1000000000]\n")
+    # coj2 --a-max 40 (654,912 coprime pairs) is the largest grid the README runs; thm1 --b-max N at a = 1
+    assert verify.grid_size(verify.SweepConfig(a_min=3, a_max=40)) <= bounds.GRID_CAP
+    at_cap = verify.SweepConfig(a_min=1, a_max=1, b_rule="upto", b_max=bounds.GRID_CAP + 1)
+    assert verify.grid_size(at_cap) == bounds.GRID_CAP
+
+
+def test_resume_rejects_impossible_counts(tmp_path, capsys):
+    """A canonical line for (7, 30) claiming 100 primes up to s = 173 (there are 40) exits 4 and prints nothing."""
+    ck = tmp_path / "ck.jsonl"
+    ck.write_text(verify.record_to_json(verify.evaluate_pair(7, 30, 173, 60, 100)) + "\n")
+    rc, out, err = run(capsys, "verify", "coj2", "--a", "7", "--b-max", "30", "--resume", str(ck), "--format", "csv")
+    assert (rc, out) == (4, "") and "pi_s = 100 is more primes than fit up to s = 173" in err
+    # at s < 2 no prime fits: (2, 3) has s = 1
+    ck.write_text(verify.record_to_json(verify.evaluate_pair(2, 3, 1, 1, 1)) + "\n")
+    rc, out, _ = run(capsys, "verify", "thm1", "--a", "2", "--b-max", "3", "--resume", str(ck), "--format", "csv")
+    assert (rc, out) == (4, "")
 
 
 @pytest.mark.parametrize("check,tables", [("all", 1), ("rs", 1), ("ap", 1), ("mv", 0)])

@@ -72,10 +72,23 @@ def test_verdict_columns_match_the_scalar_oracle(rel_guard, rows):
 
 
 def test_evaluate_pair_past_int64_is_exact():
-    """Counts past int64 take object columns and Python's int and float rules, as the scalar evaluator does."""
+    """Counts past int64 take object columns and Python's int and float rules, as the scalar evaluator does.
+
+    With REL_GUARD = 1 every row escalates, so the interval rows are built from the object columns' Python ints.
+    """
     a, b = 2**40, 2**40 + 1
-    for row in [(a, b, a * b - a - b, 10**20, 10**21), (3, 2**64, 2 * 2**64 - 3, 2**63, 2**64 + 1), (3, 4, 5, 2**70, 2**71)]:
-        assert _fields(verify.evaluate_pair(*row)) == _fields(_evaluate_pair_oracle(*row))
+    rows = [(a, b, a * b - a - b, 10**20, 10**21), (3, 2**64, 2 * 2**64 - 3, 2**63, 2**64 + 1), (3, 4, 5, 2**70, 2**71)]
+    s = 2 * 2**64 - 3
+    rows += [(3, 2**64, s, int(bounds.thm2_rhs(3, s)), 2**64 + 1)]  # within REL_GUARD of the threshold
+    for rel_guard in (bounds.REL_GUARD, 1.0):
+        escalated = []
+        real = bounds._interval_strictly_greater
+        with mock.patch.object(bounds, "REL_GUARD", rel_guard), mock.patch.object(
+            bounds, "_interval_strictly_greater", lambda lf, rf: escalated.append(1) or real(lf, rf)
+        ):
+            for row in rows:
+                assert _fields(verify.evaluate_pair(*row)) == _fields(_evaluate_pair_oracle(*row))
+        assert len(escalated) == 2 * (len(rows) if rel_guard == 1.0 else 1)
     with pytest.raises(OverflowError):
         verify.evaluate_pair(10**200, 10**200 + 1, 10**400 - 2 * 10**200 - 1, 2, 4)
 
@@ -145,6 +158,21 @@ def test_b_limit_rules():
         verify.b_limit(verify.B_RULE_UPTO, 9)
     with pytest.raises(ValueError):
         verify.b_limit("no-such-rule", 9, 44)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 60), st.sampled_from(["upto", "50a2", "exp-threshold"]), st.integers(1, 400))
+def test_grid_size_counts_every_b_of_the_rule(a_min, a_max, rule, b_max):
+    """grid_size is the per-a count of b in (a, b_limit(a)] in closed form, and bounds the grid's coprime pairs."""
+    if rule == verify.B_RULE_EXP:
+        a_min, a_max = min(max(a_min, 2), 10), min(a_max, 10)  # the rule is defined there only
+    cfg = verify.SweepConfig(a_min=a_min, a_max=a_max, b_rule=rule, b_max=b_max if rule == verify.B_RULE_UPTO else None)
+    want = sum(max(0, verify.b_limit(rule, a, cfg.b_max) - a) for a in range(a_min, a_max + 1))
+    assert verify.grid_size(cfg) == want
+    pairs = verify.grid_pairs(cfg)
+    assert sum(bs.size for bs in pairs.values()) <= want
+    if rule == verify.B_RULE_UPTO:
+        assert max(pairs, default=0) < b_max
 
 
 def test_iter_pair_stats_matches_check_pair():
@@ -463,6 +491,16 @@ _BAD_AFTER_GOOD = [
     (_payload(_VALID, _TOO_BIG, _FLIPPED), "(3,5): cannot re-derive the verdicts (int too large to convert to float)"),
     (_payload(_FLIPPED, _TOO_BIG), "(7,30): fields ['thm2'] disagree with the counts"),
     (_payload(_VALID, _VALID, "garbage", _FLIPPED), "line 1003: invalid JSON (Expecting value)"),
+    # canonical bytes whose counts are ordered and whose verdicts are theirs, but no s = 173 has 100 primes up to it
+    (
+        verify.record_to_json(verify.evaluate_pair(7, 30, 173, 60, 100)).encode() + b"\n",
+        "(7,30): pi_s = 100 is more primes than fit up to s = 173",
+    ),
+    # the same counts in a line that is parsed: checked after its verdicts re-derive
+    (
+        _payload(_VALID, json.dumps(dict(verify.record_to_dict(verify.evaluate_pair(7, 30, 173, 60, 100)), ms=17))),
+        "(7,30): pi_s = 100 is more primes than fit up to s = 173",
+    ),
 ]
 
 
