@@ -31,6 +31,10 @@ from . import primes as primelib
 from .errors import DomainError, LimitExceeded
 
 REL_GUARD = 1e-9
+# The largest k_max of validate_mv_bound. _mv takes log(y / k) of the rounded quotient, so with y near
+# k its double is off by about 1.1e-16 * k relative: 1.1e-10 at k = 10**6, past REL_GUARD from about
+# k = 9 * 10**6, where a row outside the guard's margin could be decided from a wrong double.
+MV_K_MAX = 10**6
 _GUARD_PRECISIONS = (120, 240, 480, 960)
 
 # The largest sizes a run may ask for. Past X_MAX_CAP the envelope checks' prime table would
@@ -439,8 +443,10 @@ def validate_mv_bound(
     the least such n above x. phi(k) is one column (arith.coprime_counts) and
     the bounds one column of doubles, each row mv_upper bit for bit. When
     k_max >= y_max a draw can have y = k + 1 > y_max; the bitmap reaches its
-    x + y all the same.
+    x + y all the same. k_max past MV_K_MAX raises DomainError before any draw.
     """
+    if k_max > MV_K_MAX:
+        raise DomainError(f"k_max = {k_max} is past {MV_K_MAX}, where the Montgomery-Vaughan double may pass REL_GUARD")
     draws = _mv_draws(samples, x_max, y_max, k_max, seed)
     x, y, k, l = np.array(draws, dtype=np.int64).reshape(-1, 4).T
     ends = x + y + 1

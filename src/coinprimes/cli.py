@@ -19,7 +19,7 @@ from functools import partial
 
 from . import bounds, pistar, semigroup, verify
 from . import primes as primelib
-from .errors import CheckpointCorrupt, LimitExceeded, MethodDisagreement
+from .errors import CheckpointCorrupt, DomainError, LimitExceeded, MethodDisagreement
 from .semigroup import new_pair
 
 
@@ -208,6 +208,8 @@ def _verify_thm1(args) -> int:
 
 def _verify_thm3(args) -> int:
     lo, hi = _a_bounds(args, 3, 10)
+    if not 3 <= lo <= hi <= 10:  # before any a runs, so a bad range prints nothing
+        raise DomainError("thm3 covers 3 <= a <= 10")
     ok = True
     for a in range(lo, hi + 1):
         rep = verify.reproduce_thm3(a)
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_flags.add_argument("--b-max", type=int, help="check b <= B_MAX (implies the upto rule)")
     sweep_flags.add_argument("--b-rule", choices=(verify.B_RULE_UPTO, verify.B_RULE_50A2, verify.B_RULE_EXP))
     sweep_flags.add_argument("--resume", metavar="PATH", help="JSON-lines checkpoint to append to and reuse")
-    sweep_flags.add_argument("--threads", type=int, default=1)
+    sweep_flags.add_argument("--threads", type=_positive_int, default=1)
     sweep_flags.add_argument("--cross-check", action="store_true")
 
     pc = sub.add_parser("compute", parents=[pair_flags, out_flags], help="compute pi_star for one coprime pair")

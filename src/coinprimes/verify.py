@@ -26,10 +26,10 @@ _LINE_ROWS rows at a time (write_lines), and only a caller that reads
 SweepResult.records gets one VerificationRecord per pair. A
 checkpoint is reused a block of lines at a time: each line must equal, byte
 for byte, the canonical line that json_lines derives from the counts in its
-head; any other complete line is parsed, checked and re-derived with the
-other such lines of its block, so a valid but differently written line is
-still reused and a bad one is reported with its line number and the message
-record_from_dict gives it.
+head; any other complete line is parsed, checked and re-derived on its own
+(_line_columns, which record_from_dict calls too), so a valid but
+differently written line is still reused and the first bad one is reported
+with its line number or its pair.
 """
 
 import itertools
@@ -290,15 +290,20 @@ def _check_derived(obj: dict, line: str):
         raise CheckpointCorrupt(f"({a},{b}): pi_s = {pi_s} is more primes than fit up to s = {s}")
 
 
-def record_from_dict(obj) -> VerificationRecord:
-    """The record of a checkpoint object, reused only if its counts are plausible and re-derive every other field."""
+def _line_columns(obj) -> RecordColumns:
+    """The one-row columns of a checkpoint object, reused only if its counts are plausible and re-derive every other field."""
     a, b, s, pi_star, pi_s = _checked_counts(obj)
     try:
-        rec = evaluate_pair(a, b, s, pi_star, pi_s)
+        cols = pair_columns(a, b, s, pi_star, pi_s)
     except (OverflowError, ValueError) as e:
         raise CheckpointCorrupt(f"({a},{b}): cannot re-derive the verdicts ({e})") from None
-    _check_derived(obj, record_to_json(rec))
-    return rec
+    _check_derived(obj, json_lines(cols)[0])
+    return cols
+
+
+def record_from_dict(obj) -> VerificationRecord:
+    """The record of a checkpoint object, checked as _line_columns checks it."""
+    return _line_columns(obj).records()[0]
 
 
 _TAIL_BLOCK = 1 << 16
@@ -329,7 +334,7 @@ def _trim_torn_tail(path: str):
 # and the counts inside int64. When a block holds as many heads as lines, the k-th head is taken as line
 # k's, else each line is matched on its own; the byte comparison of each line with the line derived from
 # its head catches a head taken from elsewhere, and a line with larger values, or without a head, is
-# read the general way.
+# parsed and checked on its own.
 _CANONICAL_HEAD = re.compile(
     rb'\{"schema": 1, "a": (\d{1,9}), "b": (\d{1,9}), "s": \d+, "pi_star": (\d{1,18}), "pi_s": (\d{1,18}), '
 )
@@ -355,11 +360,10 @@ def _checkpoint_block(lines: list, first: int) -> RecordColumns:
 
     A line is taken as it is when it equals, byte for byte, the canonical line
     of the counts in its head, with pi_star <= pi_s and a possible pi_s
-    (_possible). Every other line is parsed and checked (_checked_counts), the
-    block's counts are re-derived together, and each such line is compared
-    with its derived line and its pi_s checked (_check_derived); the first bad
-    line in file order is reported, with the message it gets on its own
-    (record_from_dict).
+    (_possible); a block of such lines costs one byte comparison. Every other
+    line is parsed and checked on its own, in file order (_line_columns), and
+    its one row goes between the slices of the lines taken as they are; the
+    first bad line raises.
     """
     data = b"".join(lines)
     heads = _CANONICAL_HEAD.findall(data)
@@ -372,32 +376,13 @@ def _checkpoint_block(lines: list, first: int) -> RecordColumns:
     ordered = (pi_star <= pi_s) & _possible(cols.s, pi_s)
     if derived == data and ordered.all():
         return cols
-    rows, objs, error = [], {}, None  # objs: row -> parsed object of each line taken the long way
+    parts, start = [], 0
     for k, (line, want, ok) in enumerate(zip(lines, derived.splitlines(True), ordered.tolist())):
-        if line == want and ok:
-            rows.append(tuple(int(col[k]) for col in cols[:5]))
-            continue
-        try:
-            obj = _parse_line(first + k, line)
-            counts = _checked_counts(obj)
-        except CheckpointCorrupt as e:
-            error = e  # raised after the lines before it are checked
-            break
-        objs[len(rows)] = obj
-        rows.append(counts)
-    if objs:
-        try:
-            cols = _verdict_columns(*(_int_column(list(col)) for col in zip(*rows)))
-        except (OverflowError, ValueError):
-            for obj in objs.values():
-                record_from_dict(obj)  # the first line that cannot be re-derived raises, with its message
-            raise
-        derived_lines = json_lines(cols)
-        for row, obj in objs.items():
-            _check_derived(obj, derived_lines[row])
-    if error is not None:
-        raise error
-    return cols
+        if line != want or not ok:
+            parts += [cols.take(slice(start, k)), _line_columns(_parse_line(first + k, line))]
+            start = k + 1
+    parts.append(cols.take(slice(start, None)))
+    return _concat(parts)
 
 
 def _sorted_unique(cols: RecordColumns) -> RecordColumns:

@@ -7,7 +7,9 @@ runs its commands through cli.main. A rename or deletion of one of these
 names, a CLI change that rejects one of those commands, or a change to the
 stdout the analytic-scan workload pins, breaks the benchmark, not these
 modules' own tests, so it is checked here. spans.py and
-workloads.py are loaded from their files, unchanged.
+workloads.py are loaded from their files, unchanged. So is the claim that
+every checkpoint line the program writes is reused by the byte comparison
+of verify._checkpoint_block, never parsed line by line.
 """
 
 import dataclasses
@@ -15,6 +17,9 @@ import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+
+import pytest
+from test_verify import _InlineExecutor
 
 from coinprimes import cli, verify
 
@@ -85,3 +90,25 @@ def test_analytic_scan_stdout_is_the_pinned_one(tmp_path, capsys):
         for cmd in cmds:
             assert cli.main(cmd.argv) == 0, cmd.argv
             assert cmd.check(capsys.readouterr().out) is None, cmd.argv
+
+
+def test_written_checkpoints_load_without_parsing(tmp_path, monkeypatch):
+    """The grid workload's seeded lines (its own recipe, workloads.grid_lines) and the checkpoint of a
+    sweep resumed through a pool load to the sweep's columns without one line parsed on its own."""
+    workloads = _load("workloads")
+    grid = verify.sweep(verify.SweepConfig(a_min=3, a_max=8)).columns
+    seeded = tmp_path / "seeded.jsonl"
+    seeded.write_text("".join(workloads.grid_lines(3, 8, verify)[1]))
+    small = verify.SweepConfig(a_min=2, a_max=9, b_rule=verify.B_RULE_UPTO, b_max=300)
+    written = tmp_path / "written.jsonl"
+    fresh = verify.sweep(dataclasses.replace(small, checkpoint_path=str(written))).columns
+    lines = written.read_text().splitlines(keepends=True)
+    written.write_text("".join(lines[: len(lines) // 3]))
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    _InlineExecutor.sizes = []
+    verify.sweep(dataclasses.replace(small, checkpoint_path=str(written), workers=4))
+    assert _InlineExecutor.sizes == [4]
+    monkeypatch.setattr(verify, "_parse_line", lambda i, line: pytest.fail(f"line {i} parsed on its own"))
+    for path, want in ((seeded, grid), (written, fresh)):
+        assert verify.json_lines(verify.load_checkpoint(str(path))) == verify.json_lines(want), path.name

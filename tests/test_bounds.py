@@ -260,6 +260,19 @@ def test_ap_envelope_counts_and_violation_order(monkeypatch):
     assert kinds == {"ap-lower", "ap-upper"}
 
 
+def test_mv_k_max_is_capped_where_the_double_stays_inside_the_guard(monkeypatch):
+    """Up to MV_K_MAX the double's relative error with y just above k is below REL_GUARD; past it no sample is drawn."""
+    with mpmath.workprec(200):
+        for k in (bounds.MV_K_MAX - 1, bounds.MV_K_MAX):
+            for y in range(k + 1, k + 4):
+                exact = 2 * mpmath.mpf(y) / (arith.euler_phi(k) * mpmath.log(mpmath.mpf(y) / k))
+                assert abs(bounds.mv_upper(0, y, k, 0) / exact - 1) < bounds.REL_GUARD
+    assert bounds.validate_mv_bound(samples=20, x_max=1000, y_max=1000, k_max=bounds.MV_K_MAX, seed=1).n_checked == 20
+    monkeypatch.setattr(bounds, "_mv_draws", lambda *args: pytest.fail("samples drawn"))
+    with pytest.raises(DomainError):
+        bounds.validate_mv_bound(samples=20, x_max=1000, y_max=1000, k_max=bounds.MV_K_MAX + 1)
+
+
 def test_envelopes_decided_in_intervals_agree(monkeypatch):
     # with the guard wide open every comparison is built in interval arithmetic
     table = primes.primes_array(10**5)

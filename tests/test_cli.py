@@ -314,6 +314,12 @@ def test_bad_inputs(capsys, monkeypatch):
     assert rc == 2
     rc, _, _ = run(capsys, "verify", "nothing")
     assert rc == 2
+    # thm3 checks its whole a-range before any a runs; --threads takes a count of at least one
+    bad = [("thm3", "--a-range", "9:11"), ("thm3", "--a-max", "2")]
+    bad += [("coj2", "--a-max", "4", "--b-max", "10", "--threads", n) for n in ("0", "-3")]
+    for argv in bad:
+        rc, out, _ = run(capsys, "verify", *argv)
+        assert (rc, out) == (2, ""), argv
     for x_max in ("inf", "1e400", "nan"):
         rc, _, err = run(capsys, "verify", "bounds", "--x-max", x_max)
         assert rc == 2 and "--x-max" in err and "Traceback" not in err, x_max

@@ -470,8 +470,8 @@ def _payload(*lines):
     return "".join(line + "\n" for line in lines).encode()
 
 
-# (payload after 1,000 good lines, the message the line-by-line parse gives for it); the lines of a
-# multi-line payload are re-derived together, and the first bad one in file order is reported
+# (payload after 1,000 good lines, the message the line-by-line parse gives for it); each line of a
+# multi-line payload is checked on its own, in file order, so the first bad one is reported
 _BAD_AFTER_GOOD = [
     (b"garbage\n", "line 1001: invalid JSON (Expecting value)"),
     (b'\xff\xfe{"schema": 1}\n', "line 1001: invalid UTF-8"),
