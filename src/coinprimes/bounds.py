@@ -37,10 +37,10 @@ REL_GUARD = 1e-9
 MV_K_MAX = 10**6
 _GUARD_PRECISIONS = (120, 240, 480, 960)
 
-# The largest sizes a run may ask for. Past X_MAX_CAP the envelope checks' prime table would
-# pass 400 MB of int64; each sample is a Python tuple of the Montgomery-Vaughan check or a
-# delta row of thm1 case 1, all held at once; a sweep holds the record columns of every pair
-# of its grid, and GRID_CAP bounds verify.grid_size.
+# The largest sizes a run may ask for. Past X_MAX_CAP the envelope checks' prime table would pass
+# 400 MB of int64; it also bounds the time of a sweep's sieve walk (verify.sieve_top). Each sample is
+# a Python tuple of the Montgomery-Vaughan check or a delta row of thm1 case 1, all held at once; a
+# sweep holds the record columns of every pair of its grid, and GRID_CAP bounds verify.grid_size.
 X_MAX_CAP = 10**9
 SAMPLES_CAP = 10**6
 GRID_CAP = 5 * 10**6

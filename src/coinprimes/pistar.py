@@ -6,16 +6,16 @@ Three independent routes compute the same number:
                gap iff p < w[p mod a], w the Apery table of semigroup.apery_table
   residue-sum  sum over v of the primes below b*v in the class b*v mod a:
                for one pair, capped class counts read off the sieve bitmaps
-               (primes.class_counts); for a grid block, the gap_prime_counts
-               kernel, batched over b
+               (primes.class_counts); for many b of one a, the
+               gap_prime_counts kernel
   brute-force  mark every a*u + b*v up to s, then subtract from a dense sieve
 
 Every grid command counts with the residue-sum kernel; fast and brute force
-are the independent routes it is cross-checked against. The kernel takes its
-primes as ascending chunks, splits each into its classes mod a and searches
-it class by class, one searchsorted per class for every b of the block. A
-single pair builds neither primes nor a table: it counts the columns of each
-sieve window's bitmap per class, so fast and residue share only the sieve.
+are the independent routes it is cross-checked against. The kernel walks the
+sieve windows once, each cut into rows of a numbers, and reads the per-class
+prime counts below every query b*v off the window's cumsum down its rows; it
+builds no prime array. Neither does a single pair: it counts the columns of
+each sieve window's bitmap per class, so fast and residue share only the sieve.
 """
 
 import math
@@ -65,33 +65,50 @@ def pi_star_fast(pair: SemigroupPair) -> PiStarResult:
     return _result(pair, gapped, total, METHOD_FAST)
 
 
-def gap_prime_counts(a: int, bs: np.ndarray, below: np.ndarray, primes) -> np.ndarray:
-    """Gap primes p < below[i] of <a, bs[i]> for each i, all b at once (int64 arrays in, out).
+def gap_prime_counts(a: int, bs: np.ndarray, below: np.ndarray = None):
+    """(pi_star, pi_s) of <a, b> for each b of the int64 array bs, in any order, as int64 arrays;
+    with below, an int64 array like bs, pi_star[i] counts only the gap primes below below[i].
 
-    primes is an iterable of ascending int64 chunks that together hold every
-    prime below max(below), each in one chunk, such as the prime table as one
-    chunk. Primes at or above below[i] are not counted for b_i, so a chunk may
-    run past max(below).
-
-    The residue-sum identity: a prime p is a gap iff p < b*v for the v in
-    [1, a) with b*v = p (mod a). As v runs over [1, a), b*v mod a runs over
-    every class c in [1, a) once, with v = c * b^-1 mod a. So the count is the
-    sum over c of #{p prime : p = c (mod a), p < min(b*v, below)}, and it adds
-    up over disjoint ranges of primes: each chunk is split into its classes
-    mod a once, and one searchsorted per class serves every b. Memory is
-    O(len(bs)) besides the largest chunk and its split.
+    With K[n] = #{p prime : p < n, p = n (mod a)}, pi_star is the sum of K[b*v]
+    over v in [1, a): a prime p is a gap iff p < b*v for the v with b*v = p
+    (mod a). A cap L moves the query b*v to min(b*v, L + (b*v - L) mod a), the
+    first number at or after L in its class. One walk sieves [0, top) in
+    windows of whole rows of a numbers, each starting at a multiple of a: seen
+    as (rows, a), a window has one class per column, its exclusive cumsum down
+    the rows plus the earlier windows' class counts is K there, and its flat
+    cumsum gives pi. A window visits only the v whose queries can fall in it;
+    memory is one window plus O(len(bs)).
     """
     if a < 1 or bs.min(initial=1) < 1 or np.any(np.gcd(bs, a) != 1):
         raise ValueError(f"every b must be a positive integer coprime to a = {a}")
-    inverse = np.array([pow(r, -1, a) if math.gcd(r, a) == 1 else 0 for r in range(a)], dtype=np.int64)
-    b_inv = inverse[bs % a]
-    counts = np.zeros(bs.size, dtype=np.int64)
-    for chunk in primes:
-        p_sorted, cuts = primelib.residue_classes(chunk, a)
-        for c in range(1, a):
-            v = c * b_inv % a
-            counts += np.searchsorted(p_sorted[cuts[c] : cuts[c + 1]], np.minimum(bs * v, below), side="left")
-    return counts
+    s = a * bs - a - bs
+    pi_star, pi_s = np.zeros((2, bs.size), dtype=np.int64)
+    if not bs.size:
+        return pi_star, pi_s
+    vs = np.arange(1, a, dtype=np.int64)
+    q_lo, q_hi = vs * int(bs.min()), vs * int(bs.max())  # q_lo[v - 1] <= v's queries <= q_hi[v - 1]
+    if below is not None:
+        q_lo, q_hi = np.minimum(q_lo, below.min()), np.minimum(q_hi, below.max() + a - 1)
+    top = -(-(max(int(q_hi.max(initial=0)), int(s.max())) + 1) // a) * a
+    dtype = np.int32 if top < 2**31 else np.int64  # K is at most the number of primes below top
+    carry, total = np.zeros(a, dtype=dtype), 0  # the primes below the window, per class and in all
+    width = max(primelib.DEFAULT_WINDOW // a, 1) * a
+    for lo in range(0, top, width):
+        hi = min(lo + width, top)
+        bits = primelib.sieve_segment(lo, hi)
+        at = np.flatnonzero((lo <= s) & (s < hi))
+        if at.size:
+            pi_s[at] = np.cumsum(bits, dtype=dtype)[s[at] - lo] + total  # below top, so in dtype
+        total += int(np.count_nonzero(bits))
+        k = np.empty(((hi - lo) // a + 1, a), dtype=dtype)
+        k[0], k[1:] = carry, bits.reshape(-1, a)
+        np.cumsum(k, axis=0, out=k)  # row r: the primes below row r of the window, by class, so K there
+        carry, k = k[-1].copy(), k.ravel()
+        for v in vs[(q_lo < hi) & (q_hi >= lo)].tolist():
+            q = bs * v if below is None else np.minimum(bs * v, below + (bs * v - below) % a)
+            i = np.flatnonzero((lo <= q) & (q < hi))
+            pi_star[i] += k[q[i] - lo]
+    return pi_star, pi_s
 
 
 def pi_star_residue_sum(pair: SemigroupPair) -> PiStarResult:

@@ -7,9 +7,8 @@ primes are struck window by window. sieve_windows yields these bitmaps;
 prime_windows turns each into an array of primes, while pi and class_counts
 count straight from the bits: entry i of a window is first + 2*i, so its
 class mod m repeats with period m / gcd(m, 2), and one column sum of the
-bitmap gives every class's count in the window. Splitting a prime table
-into classes mod m sorts (class, prime) keys packed into one int64 array in
-place, so no index array is made.
+bitmap gives every class's count in the window. The grid kernel
+(pistar.gap_prime_counts) reads sieve_segment, one bool per number.
 """
 
 import math
@@ -153,26 +152,6 @@ def primes_array(limit: int) -> np.ndarray:
         table[n : n + arr.size] = arr
         n += arr.size
     return table[:n]
-
-
-def residue_classes(p: np.ndarray, m: int):
-    """Group ascending int64 primes by residue mod m.
-
-    Returns (p_sorted, cuts): class l is p_sorted[cuts[l] : cuts[l + 1]], still ascending.
-    """
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    shift = int(p[-1]).bit_length() if p.size else 0
-    if (m - 1) >> (63 - shift):
-        raise ValueError("modulus and primes too large to pack into int64 keys")
-    # (class, prime) packed into one int64 and sorted in place; the primes are distinct, so this is the stable order
-    key = p % m
-    cuts = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=m))))
-    key <<= shift
-    key |= p
-    key.sort()
-    key &= (1 << shift) - 1
-    return key, cuts
 
 
 def pi_ap(x, m: int, l: int) -> int:

@@ -18,8 +18,9 @@ exception and half-bound scans of thm3, which share one sweep per a, the
 half-bound scan of coj1, thm1 case 4 and the thm1 grid) is one call of
 sweep, and _summarize is the one place verdict columns become pair lists;
 thm1 case 3, which counts only the gap primes up to s/20, calls the kernel
-itself. The sweep carries records as columns (RecordColumns), BLOCK_ROWS
-values of b of one a at a time, from the kernel to the verdicts:
+(pistar.gap_prime_counts, a walk over sieve windows; no prime table) itself.
+The sweep carries records as columns (RecordColumns), BLOCK_ROWS values of b
+of one a at a time, from the kernel to the verdicts:
 _verdict_columns decides every verdict of a block at once, csv_lines and
 json_lines build output and checkpoint lines from one template each,
 _LINE_ROWS rows at a time (write_lines), and only a caller that reads
@@ -79,8 +80,8 @@ CHECKPOINT_FIELDS = (
     "ms",
 )
 
-# rows per block: the most b values of one sweep task and of one kernel block of iter_pair_stats (each
-# block splits its prime table into the classes mod a once, and the kernel's working arrays are O(rows))
+# rows per block: the most b values of one sweep task, and so of one kernel call (its working arrays are
+# O(rows) besides one sieve window, and each call walks the windows up to its own largest query)
 BLOCK_ROWS = 1 << 16
 # rows per slice of output lines (write_lines): the most CSV or JSON lines alive at a time
 _LINE_ROWS = 1 << 12
@@ -485,7 +486,7 @@ def check_pair(a: int, b: int, cross_check: bool = False, brute_cap: int = pista
 
 
 # ----------------------------------------------------------------------
-# grid iteration with a shared per-a prime table
+# grid iteration
 
 
 def exp_threshold_b_max(a: int) -> int:
@@ -517,18 +518,13 @@ def _coprime_bs(a: int, lo: int, hi: int) -> np.ndarray:
 
 
 def iter_pair_stats(a: int, bs):
-    """Yield (b, s, pi_star, pi_s) for each b in input order, BLOCK_ROWS values of b per kernel call.
+    """Yield (b, s, pi_star, pi_s) for each b in input order, from one call of the kernel.
 
     Pairs with s < 2 (a == 1 or b == 1 among them) give (0, 0): no prime is <= s.
     """
     bs = np.fromiter(bs, dtype=np.int64)
-    for i in range(0, bs.size, BLOCK_ROWS):
-        block = bs[i : i + BLOCK_ROWS]
-        s = a * block - a - block
-        table = primelib.primes_array(max(int(s.max()), 2))
-        pi_s = np.searchsorted(table, s, side="right")
-        pi_star = pistar.gap_prime_counts(a, block, s + 1, [table])
-        yield from zip(block.tolist(), s.tolist(), pi_star.tolist(), pi_s.tolist())
+    pi_star, pi_s = pistar.gap_prime_counts(a, bs)
+    yield from zip(bs.tolist(), (a * bs - a - bs).tolist(), pi_star.tolist(), pi_s.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -591,9 +587,8 @@ def _strict_half_window_ok(a: int) -> bool:
     """pi(n) < (n / log n)(1 + 1/(a-1)) for every integer n in (s_min, e^{3(a-1)/2}]."""
     lo = _WINDOW_S_MIN[a]
     hi = math.floor(math.exp(1.5 * (a - 1)))
-    table = primelib.primes_array(hi)
     ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
-    counts = np.searchsorted(table, ns, side="right")
+    counts = np.cumsum(primelib.sieve_segment(0, hi + 1))[lo + 1 :]  # pi(n) for each n of ns
     return bool(bounds.half_window_exceeds_column(a, ns, counts).all())
 
 
@@ -665,16 +660,11 @@ def reproduce_thm1_cases(case_id: int, case1_samples: int = 200) -> Thm1CaseRepo
         worst, ok = _delta_scan(CASE2_DELTA, np.arange(181, 60001), h_poly, CASE2_THRESHOLD)
         return Thm1CaseReport(2, 0, [], worst, float(CASE2_THRESHOLD), ok)
     if case_id == 3:
-        failures = []
-        n_pairs = 0
-        table = primelib.primes_array(180 * 1000 - 180 - 1000)  # s at a = 180, b = 1000: the largest s of the case
+        failures, n_pairs = [], 0
         for a in range(16, 181):
-            # at most 985 b values: one call of the kernel
             bs = _coprime_bs(a, a + 1, 1000)
             s = a * bs - a - bs
-            pi_s = np.searchsorted(table, s, side="right")
-            low = table[: np.searchsorted(table, int(s.max()) // 20, side="right")]
-            low_gaps = pistar.gap_prime_counts(a, bs, s // 20 + 1, [low])
+            low_gaps, pi_s = pistar.gap_prime_counts(a, bs, s // 20 + 1)  # the gap primes up to s/20
             failures += [(a, b) for b in bs[10_000 * low_gaps <= 663 * pi_s].tolist()]
             n_pairs += bs.size
         worst, ok = _delta_scan(CASE3_DELTA, np.arange(16, 181), g_poly, CASE3_THRESHOLD)
@@ -743,6 +733,13 @@ def grid_size(cfg: SweepConfig) -> int:
     return sum(b_limit(cfg.b_rule, x) - x for x in a)
 
 
+def sieve_top(cfg: SweepConfig) -> int:
+    """The largest (a - 1) * b_limit(a) of the grid, the top of the kernel's sieve walk (0 for an empty grid)."""
+    a = _grid_a_range(cfg)
+    tried = a if cfg.b_rule == B_RULE_EXP else a[-1:]  # under the other rules it grows with a
+    return max(((x - 1) * b_limit(cfg.b_rule, x, cfg.b_max) for x in tried), default=0)
+
+
 def grid_pairs(cfg: SweepConfig) -> dict:
     """Coprime b values per a, always with b > a."""
     out = {}
@@ -794,9 +791,11 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     gets about four tasks per worker, the tasks of the largest a first. Each a's
     reused rows and new blocks are put in b order once, at the end, and
     SweepResult.columns is the concatenation of those per-a columns. Past
-    bounds.GRID_CAP pairs (grid_size) it raises LimitExceeded first.
+    bounds.GRID_CAP pairs (grid_size), or with a sieve walk past bounds.X_MAX_CAP
+    (sieve_top), it raises LimitExceeded first.
     """
     bounds.check_cap("grid pairs", grid_size(cfg), bounds.GRID_CAP)
+    bounds.check_cap("sieve bound", sieve_top(cfg), bounds.X_MAX_CAP)
     grid = grid_pairs(cfg)
     done = load_checkpoint(cfg.checkpoint_path) if cfg.checkpoint_path else _concat([])
     parts, pending = {}, {}  # per a, ascending: its blocks (the reused rows first), and the b values to compute

@@ -216,7 +216,7 @@ def test_log_spaced_ints():
 
 
 def _ap_envelope_reference(m_max, x_max, points):
-    """The envelope check with per-class sorted searches: residue_classes, then searchsorted per (m, l)."""
+    """The envelope check with per-class sorted searches: a mask per (m, l), then searchsorted."""
     p = primes.primes_array(x_max)
     violations = []
     checked = 0
@@ -224,11 +224,10 @@ def _ap_envelope_reference(m_max, x_max, points):
         if 50 * m * m > x_max:
             break
         xs = bounds.log_spaced_ints(50 * m * m, x_max, points)
-        p_sorted, cuts = primes.residue_classes(p, m)
         for l in range(m):
             if math.gcd(l, m) != 1:
                 continue
-            counts = np.searchsorted(p_sorted[cuts[l] : cuts[l + 1]], xs, side="right")
+            counts = np.searchsorted(p[p % m == l], xs, side="right")
             for x, c in zip(xs, counts.tolist()):
                 lo, hi = bounds.ap_fixed_range_bounds(x, m)
                 checked += 2

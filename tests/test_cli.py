@@ -354,6 +354,17 @@ def test_the_grid_cap_admits_the_documented_grids(capsys):
     assert verify.grid_size(at_cap) == bounds.GRID_CAP
 
 
+def test_sieve_walk_past_the_cap_exits_3(capsys, monkeypatch):
+    """One pair whose sieve walk, (a - 1) * b, passes bounds.X_MAX_CAP exits 3 before any window is sieved."""
+    monkeypatch.setattr(primes, "sieve_segment", lambda *args: pytest.fail("sieved"))
+    rc, out, err = run(capsys, "verify", "coj2", "--a", "40000", "--b-max", "40002")
+    assert (rc, out) == (3, "") and "sieve bound = 1600039998" in err and "exceeds cap" in err
+    assert "Traceback" not in err
+    cfg = verify.SweepConfig(a_min=30000, a_max=30000, b_rule="upto", b_max=30002)
+    assert verify.sieve_top(cfg) == 29999 * 30002 <= bounds.X_MAX_CAP
+    assert verify.sieve_top(verify.SweepConfig(a_min=3, a_max=9, b_rule="exp-threshold")) == 7 * 5189  # a = 8, not the last a
+
+
 def test_resume_rejects_impossible_counts(tmp_path, capsys):
     """A canonical line for (7, 30) claiming 100 primes up to s = 173 (there are 40) exits 4 and prints nothing."""
     ck = tmp_path / "ck.jsonl"

@@ -147,37 +147,48 @@ def test_count_gap_primes_matches_contains():
         assert got == want == pistar.pi_star_fast(pair).pi_star, (a, b)
 
 
+@st.composite
+def _a_bs_and_window(draw):
+    a = draw(st.integers(1, 60))
+    b_max = 4000 if a == 1 else (4000 + a) // (a - 1)  # keeps the walk's top, about (a - 1) * b, near 4000
+    bs = draw(st.lists(st.integers(1, b_max).filter(lambda b: math.gcd(a, b) == 1), max_size=12))
+    return a, bs, draw(st.integers(1, 300))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_a_bs_and_window())
+@example((1, [3, 1, 2], 1))
+@example((2, [9, 1, 3, 5], 1))  # a window narrower than a is one row of a numbers
+@example((7, [3, 40, 8, 1, 600], 5))
+@example((30, [77, 31, 1, 133], 64))  # even a: half the classes hold no odd prime
+@example((60, [61, 7, 67, 1], 59))
+@example((5, [], 3))
+def test_gap_prime_counts_matches_fast_property(case):
+    """The windowed kernel gives pi_star_fast's (pi_star, pi_s) for unsorted b, with windows of any width."""
+    a, bs, window = case
+    with mock.patch.object(primes, "DEFAULT_WINDOW", window):
+        pi_star, pi_s = pistar.gap_prime_counts(a, np.array(bs, dtype=np.int64))
+    want = [pistar.pi_star_fast(semigroup.new_pair(a, b)) for b in bs]
+    assert list(zip(pi_star.tolist(), pi_s.tolist())) == [(r.pi_star, r.pi_s) for r in want], case
+
+
 def test_gap_prime_counts_capped_queries():
-    """Capped queries count the prime gaps below the cap, as thm1 case 3 asks of the kernel."""
+    """Capped queries count the prime gaps below the cap, as thm1 case 3 asks of the kernel; pi_s stays pi(s)."""
     rows = [(3, [4, 5, 7, 8, 10, 11]), (5, [6, 7, 8, 9, 11, 12, 13]), (7, [8, 9, 10, 11, 12, 13, 30]), (11, [12, 13, 25])]
-    for a, bs in rows:
-        bs = np.array(bs, dtype=np.int64)
-        s = a * bs - a - bs
-        for below in (np.full(bs.size, 3), bs // 2, s // 20 + 1, s // 3, s + 1, 2 * s + 50):
-            got = pistar.gap_prime_counts(a, bs, below, [primes.primes_array(int(below.max()))])
-            for b, cap, count in zip(bs.tolist(), below.tolist(), got.tolist()):
-                gaps = semigroup.gaps(semigroup.new_pair(a, b))
-                assert count == sum(1 for n in gaps if n < cap and primes.is_prime(n)), (a, b, cap)
+    for window in (primes.DEFAULT_WINDOW, 1, 7):
+        with mock.patch.object(primes, "DEFAULT_WINDOW", window):
+            for a, bs in rows:
+                bs = np.array(bs[::-1] if window == 7 else bs, dtype=np.int64)
+                s = a * bs - a - bs
+                for below in (np.full(bs.size, 3), bs // 2, s // 20 + 1, s // 3, s + 1, 2 * s + 50):
+                    got, pi_s = pistar.gap_prime_counts(a, bs, below)
+                    assert pi_s.tolist() == [primes.pi(x) for x in s.tolist()]
+                    for b, cap, count in zip(bs.tolist(), below.tolist(), got.tolist()):
+                        gaps = semigroup.gaps(semigroup.new_pair(a, b))
+                        assert count == sum(1 for n in gaps if n < cap and primes.is_prime(n)), (a, b, cap, window)
     # <3,5> has the prime gaps 2 and 7 (s = 7), and b*v runs over 5 and 10
     for cap, want in [(3, 1), (7, 1), (8, 2), (10**6, 2)]:
-        got = pistar.gap_prime_counts(3, np.array([5]), np.array([cap]), [primes.primes_array(cap)])
-        assert got.tolist() == [want]
-
-
-def test_gap_prime_counts_adds_up_over_chunks():
-    """Random consecutive chunks of the table give the one-chunk counts, for many-b blocks and one-b queries."""
-    rng = random.Random(44)
-    table = primes.primes_array(1009 * 1309)  # every prime below the largest query, s + 1 at (1009, 1308)
-    for a in (1, 2, 3, 7, 30, 97, 400, 1009):
-        bs = np.array([b for b in range(a + 1, a + 300) if math.gcd(a, b) == 1], dtype=np.int64)
-        s = a * bs - a - bs
-        for below in (s + 1, s // 20 + 1, s // 3):
-            queries = [(bs, below)] + [(bs[i : i + 1], below[i : i + 1]) for i in (0, bs.size // 2, bs.size - 1)]
-            for b, cap in queries:
-                want = pistar.gap_prime_counts(a, b, cap, [table[: np.searchsorted(table, cap.max())]])
-                cuts = sorted(rng.sample(range(1, table.size), rng.choice([1, 5, 40])))
-                chunks = [table[:0]] + np.split(table, cuts)
-                assert pistar.gap_prime_counts(a, b, cap, chunks).tolist() == want.tolist(), (a, b.size, cuts[:3])
+        assert pistar.gap_prime_counts(3, np.array([5]), np.array([cap]))[0].tolist() == [want]
 
 
 def test_single_pair_routes_build_no_table():

@@ -140,32 +140,6 @@ def test_primes_array_is_sorted_prefix():
     assert np.array_equal(primes.primes_array(x), np.flatnonzero(primes.sieve_segment(0, x + 1)))
 
 
-def _classes_reference(p, m):
-    res = p % m
-    order = np.argsort(res, kind="stable")
-    return p[order], np.searchsorted(res[order], np.arange(m + 1))
-
-
-def test_residue_classes_matches_int64_reference():
-    p = primes.primes_array(3 * 10**5)  # holds 131071 = 65535 (mod 65536), the top residue mod 65536
-    for m in (1, 2, 255, 256, 257, 65535, 65536, 65537):
-        for arr in (p, p[:0], p[5:6]):
-            got, cuts = primes.residue_classes(arr, m)
-            want, want_cuts = _classes_reference(arr, m)
-            assert got.dtype == np.int64 and cuts.dtype == np.int64 and cuts.size == m + 1
-            assert np.array_equal(got, want) and np.array_equal(cuts, want_cuts), (m, arr.size)
-
-
-def test_residue_classes_rejects_bad_modulus():
-    for m in (0, -3):
-        with pytest.raises(ValueError):
-            primes.residue_classes(primes.primes_array(100), m)
-    with pytest.raises(ValueError):  # residue and value bits together pass 63
-        primes.residue_classes(np.array([2, 3, 2**61 + 1]), 3)
-    got, cuts = primes.residue_classes(np.array([2, 3, 2**61 + 1]), 2)
-    assert got.tolist() == [2, 3, 2**61 + 1] and cuts.tolist() == [0, 1, 3]
-
-
 def _class_counts_reference(x, m, below):
     """Per-prime reference: the primes <= x by class mod m, each kept only below its class's cap."""
     p = primes.primes_array(max(x, 2))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coinprimes import bounds, pistar, verify
+from coinprimes import bounds, pistar, primes, verify
 from coinprimes.cli import main
 from coinprimes.errors import CheckpointCorrupt, DomainError
 from coinprimes.semigroup import new_pair
@@ -134,7 +134,12 @@ def test_check_pair_cross_methods():
 def test_cross_check_is_independent_of_the_kernel():
     """A kernel that is off by one must fail the cross-check, so nothing it is compared with shares it."""
     kernel = pistar.gap_prime_counts
-    with mock.patch.object(pistar, "gap_prime_counts", lambda *args: kernel(*args) + 1):
+
+    def off_by_one(*args):
+        pi_star, pi_s = kernel(*args)
+        return pi_star + 1, pi_s
+
+    with mock.patch.object(pistar, "gap_prime_counts", off_by_one):
         assert verify.check_pair(5, 7).pi_star == 6
         for brute_cap in (pistar.BRUTE_FORCE_CAP, 0):
             with pytest.raises(RuntimeError, match="method disagreement"):
@@ -198,11 +203,11 @@ def _a_and_bs(draw):
 @example((3, [4, 5, 7, 8, 10, 11, 13]), True)
 @example((60, [61]), False)
 @example((37, [38, 1000, 39, 556, 40, 41, 2000, 42, 43, 44]), True)
-def test_iter_pair_stats_matches_fast(a_bs, small_blocks):
-    """The batched kernel equals pi_star_fast pair by pair, in input order, across block edges."""
+def test_iter_pair_stats_matches_fast(a_bs, small_windows):
+    """The batched kernel equals pi_star_fast pair by pair, in input order, across sieve window edges."""
     a, bs = a_bs
-    block_rows = 3 if small_blocks else verify.BLOCK_ROWS
-    with mock.patch.object(verify, "BLOCK_ROWS", block_rows):
+    window = 1 << 12 if small_windows else primes.DEFAULT_WINDOW
+    with mock.patch.object(primes, "DEFAULT_WINDOW", window):
         got = list(verify.iter_pair_stats(a, bs))
     want = []
     for b in bs:
@@ -590,6 +595,24 @@ def test_sweep_pool_size_is_bounded(monkeypatch):
         assert a_order == sorted(a_order, reverse=True)
         if want is not None:
             assert max(rows for _, rows in _InlineExecutor.tasks) == -(-n_pairs // (4 * want))
+
+
+def test_grid_routes_build_no_table(monkeypatch):
+    """A fresh sweep, a pooled sweep, thm1 case 3 and the thm3 window check count off sieve windows:
+    no prime array is made."""
+    want = verify.sweep(_small_cfg()).records
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    made = AssertionError("prime array made")
+    monkeypatch.setattr(primes, "primes_array", mock.Mock(side_effect=made))
+    monkeypatch.setattr(primes, "prime_windows", mock.Mock(side_effect=made))
+    assert verify.sweep(_small_cfg()).records == want
+    _InlineExecutor.sizes = []
+    assert verify.sweep(_small_cfg(workers=4)).records == want
+    assert _InlineExecutor.sizes == [4]
+    case3 = verify.reproduce_thm1_cases(3)
+    assert case3.n_pairs > 0 and case3.computational_failures == []
+    assert verify._strict_half_window_ok(9)
 
 
 def test_sweep_checkpoint_resume(tmp_path):
