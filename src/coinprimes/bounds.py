@@ -14,10 +14,11 @@ an integer count or a rational threshold). One side is exact and the other
 log-bearing, so ties cannot occur and the escalation terminates. The scalar
 guarded verdicts are one-row calls of the column ones.
 
-The envelope validators count primes with one searchsorted, one bincount per
-slice for the progressions (both over one prime table the caller builds and
-passes), or one strided view of a prime bitmap per Montgomery-Vaughan sample,
-and compare whole columns of counts against the envelopes the same way.
+The envelope validators count primes from the sieve bitmaps, with no prime
+table: pi(x) and the progression counts at every check point come from one
+walk of the sieve windows (primes.prefix_class_counts), and each
+Montgomery-Vaughan sample is one strided view of a prime bitmap. They compare
+whole columns of counts against the envelopes the same way.
 """
 
 import math
@@ -37,8 +38,8 @@ REL_GUARD = 1e-9
 MV_K_MAX = 10**6
 _GUARD_PRECISIONS = (120, 240, 480, 960)
 
-# The largest sizes a run may ask for. Past X_MAX_CAP the envelope checks' prime table would pass
-# 400 MB of int64; it also bounds the time of a sweep's sieve walk (verify.sieve_top). Each sample is
+# The largest sizes a run may ask for. X_MAX_CAP bounds the time of the envelope checks' sieve walk
+# (the progression check took 4 s at 10**9 on 2 vCPUs) and of a sweep's (verify.sieve_top). Each sample is
 # a Python tuple of the Montgomery-Vaughan check or a delta row of thm1 case 1, all held at once; a
 # sweep holds the record columns of every pair of its grid, and GRID_CAP bounds verify.grid_size.
 X_MAX_CAP = 10**9
@@ -178,13 +179,18 @@ def rs_pi_upper(x) -> float:
 
 
 def ap_fixed_range_bounds(x, m: int):
-    """(lower, upper) envelope for pi(x; m, l), gcd(l, m) = 1, m <= 1200, x >= 50 m**2."""
+    """(lower, upper) envelope for pi(x; m, l), gcd(l, m) = 1, m <= 1200, x >= 50 m**2.
+
+    x is a number, or an int64 column giving two float columns, each row the
+    number's value bit for bit; phi(m) is taken once either way.
+    """
     if not 1 <= m <= 1200:
         raise DomainError("needs 1 <= m <= 1200")
-    if x < 50 * m * m:
+    if np.min(x, initial=50 * m * m) < 50 * m * m:
         raise DomainError("needs x >= 50 * m**2")
     phi = arith.euler_phi(m)
-    return _ap_lower(math.log, x, phi), _ap_upper(math.log, x, phi)
+    log = _logs if np.ndim(x) else math.log
+    return _ap_lower(log, x, phi), _ap_upper(log, x, phi)
 
 
 def _times_fraction(q: Fraction, x: np.ndarray):
@@ -330,13 +336,10 @@ def log_spaced_ints(lo: int, hi: int, n: int) -> list:
     return sorted({min(max(int(round(v)), lo), hi) for v in vals})
 
 
-def validate_rs_envelope(p: np.ndarray, x_max: int, points: int = 200) -> EnvelopeCheck:
-    """Check x/log x < pi(x) < rs_pi_upper(x) on a log-spaced grid from 17 to x_max.
-
-    p is an ascending table of every prime <= x_max (primes_array(x_max)), from the caller.
-    """
+def validate_rs_envelope(x_max: int, points: int = 200) -> EnvelopeCheck:
+    """Check x/log x < pi(x) < rs_pi_upper(x) on a log-spaced grid from 17 to x_max, pi(x) from one sieve walk."""
     xs = log_spaced_ints(17, x_max, points)
-    counts = np.searchsorted(p, xs, side="right").tolist()
+    counts = primelib.prefix_class_counts({1: xs})[1][:, 0].tolist()
     lows = [rs_pi_lower(x) for x in xs]
     highs = [rs_pi_upper(x) for x in xs]
     lower_ok = guarded_greater_column(counts, lows, _rows(_value, counts), _rows(_rs_lower, xs))
@@ -351,45 +354,36 @@ def validate_rs_envelope(p: np.ndarray, x_max: int, points: int = 200) -> Envelo
     return EnvelopeCheck("rosser-schoenfeld", 2 * len(xs), violations)
 
 
-def _ap_class_counts(p: np.ndarray, xs_of: dict, m_max: int) -> dict:
-    """{m: counts} with counts[i, l] = #{primes q in p : q <= xs_of[m][i], q = l (mod m)}, p ascending.
+def _ap_class_counts(xs_of: dict, m_max: int) -> dict:
+    """{m: counts} with counts[i, l] = #{primes q <= xs_of[m][i] : q = l (mod m)}, from one sieve walk.
 
-    One residue pass per modulus M = m * (m_max // m), the largest multiple of m
-    up to m_max: its class counts, taken at the union of the x points of every m
-    it serves, fold into those of each such m. No sort: the primes between
-    consecutive x are counted per class with one bincount each, and a running
-    sum gives every class count at every x.
+    Each m is served by M = m * (m_max // m), the largest multiple of m up to
+    m_max: the walk (primes.prefix_class_counts) counts the classes mod M at
+    the union of the x points of every m that M serves, and those fold into
+    the classes of each such m.
     """
-    # a uint32 modulus is cheaper than an int64 one; p itself is searched, as the int64 x points are
-    small = p.astype(np.uint32) if p.size and p[-1] <= np.iinfo(np.uint32).max else p
     served = {}
     for m in xs_of:
         served.setdefault(m * (m_max // m), []).append(m)
+    cuts = {big: np.unique(np.concatenate([xs_of[m] for m in ms])) for big, ms in served.items()}
+    by_big = primelib.prefix_class_counts(cuts)
     out = {}
     for big, ms in served.items():
-        xs = np.unique(np.concatenate([xs_of[m] for m in ms]))
-        ends = np.searchsorted(p, xs, side="right")
-        residues = small[: ends[-1]] % big
-        by_x = np.cumsum([np.bincount(residues[i0:i1], minlength=big) for i0, i1 in zip([0, *ends[:-1]], ends)], axis=0)
         for m in ms:
-            out[m] = by_x[np.searchsorted(xs, xs_of[m])].reshape(-1, big // m, m).sum(axis=1)
+            out[m] = by_big[big][np.searchsorted(cuts[big], xs_of[m])].reshape(-1, big // m, m).sum(axis=1)
     return out
 
 
-def validate_ap_envelope(p: np.ndarray, m_max: int, x_max: int, points: int = 20) -> EnvelopeCheck:
-    """Check the fixed-range progression envelope for every m <= m_max with 50m^2 <= x_max, coprime l.
-
-    p is an ascending table of every prime <= x_max (primes_array(x_max)), from the caller.
-    """
+def validate_ap_envelope(m_max: int, x_max: int, points: int = 20) -> EnvelopeCheck:
+    """Check the fixed-range progression envelope for every m <= m_max with 50m^2 <= x_max, coprime l."""
     xs_of = {m: log_spaced_ints(50 * m * m, x_max, points) for m in range(1, m_max + 1) if 50 * m * m <= x_max}
-    by_m = _ap_class_counts(p, xs_of, m_max)
+    by_m = _ap_class_counts(xs_of, m_max)
     violations = []
     checked = 0
     for m, xs in xs_of.items():
         ls = [l for l in range(m) if math.gcd(l, m) == 1]
         counts = by_m[m][:, ls].T  # row l, column x
-        env = [ap_fixed_range_bounds(x, m) for x in xs]
-        lows, highs = np.array(env).T
+        lows, highs = ap_fixed_range_bounds(np.array(xs, dtype=np.int64), m)
         nx, phi = len(xs), len(ls)  # phi(m): the classes coprime to m
         x_flat = np.tile(xs, len(ls))  # the x of each flat row
         lower_ok = guarded_greater_column(counts, lows, _rows(_value, counts.flat), _rows(_ap_lower, x_flat, phi))
@@ -398,7 +392,7 @@ def validate_ap_envelope(p: np.ndarray, m_max: int, x_max: int, points: int = 20
         for i in np.flatnonzero(~(lower_ok & upper_ok)).tolist():
             row, col = divmod(i, nx)
             x, l, c = xs[col], ls[row], int(counts.flat[i])
-            lo, hi = env[col]
+            lo, hi = float(lows[col]), float(highs[col])
             if not lower_ok.flat[i]:
                 violations.append(BoundReport("ap-lower", {"x": x, "m": m, "l": l}, lo, float(c), False, c - lo))
             if not upper_ok.flat[i]:

@@ -24,6 +24,7 @@ from .semigroup import new_pair
 
 
 _ERROR_EXIT_CODES = {MethodDisagreement: 1, LimitExceeded: 3, CheckpointCorrupt: 4}  # other errors main catches: 2
+_GAP_LINES = 1 << 12
 
 _METHOD_FLAGS = {
     "fast": (pistar.METHOD_FAST,),
@@ -83,13 +84,18 @@ def cmd_compute(args) -> int:
 
 
 def cmd_gaps(args) -> int:
+    """One line per gap, "n<TAB>p" for a prime and "n<TAB>-" otherwise: a sieve window of numbers at a time,
+    written _GAP_LINES lines at a time, so no listing holds more than a window."""
     pair = new_pair(args.a, args.b)
-    pistar.check_brute_cap(pair, pistar.BRUTE_FORCE_CAP)  # like brute force, gaps holds O(s) at once
-    ns = semigroup.gaps(pair)
-    if not ns:
-        return 0
-    flags = primelib.sieve_segment(0, pair.s + 1)[ns]
-    print("\n".join(f"{n}\t{'p' if f else '-'}" for n, f in zip(ns, flags.tolist())))
+    pistar.check_brute_cap(pair, pistar.BRUTE_FORCE_CAP)  # like brute force, gaps walks every number to s
+    for lo in range(1, pair.s + 1, primelib.DEFAULT_WINDOW):
+        hi = min(lo + primelib.DEFAULT_WINDOW, pair.s + 1)
+        ns = semigroup.gap_bits(pair, lo, hi).nonzero()[0]
+        flags = primelib.sieve_segment(lo, hi)[ns]
+        ns += lo
+        for i in range(0, ns.size, _GAP_LINES):
+            lines = zip(ns[i : i + _GAP_LINES].tolist(), flags[i : i + _GAP_LINES].tolist())
+            sys.stdout.write("".join(f"{n}\t{'p' if f else '-'}\n" for n, f in lines))
     return 0
 
 
@@ -252,13 +258,10 @@ def _verify_bounds(args) -> int:
     bounds.check_cap("--x-max", x_max, bounds.X_MAX_CAP)
     bounds.check_cap("--samples", args.samples, bounds.SAMPLES_CAP)
     checks = []
-    if args.check in ("rs", "ap", "all"):
-        table = primelib.primes_array(x_max)  # one table for both envelopes, released before the MV bitmap
-        if args.check in ("rs", "all"):
-            checks.append(bounds.validate_rs_envelope(table, x_max, points=200))
-        if args.check in ("ap", "all"):
-            checks.append(bounds.validate_ap_envelope(table, 50, x_max, points=20))
-        del table
+    if args.check in ("rs", "all"):
+        checks.append(bounds.validate_rs_envelope(x_max, points=200))
+    if args.check in ("ap", "all"):
+        checks.append(bounds.validate_ap_envelope(50, x_max, points=20))
     if args.check in ("mv", "all"):
         mv_max = min(x_max, 10**6)
         checks.append(bounds.validate_mv_bound(samples=args.samples, x_max=mv_max, y_max=mv_max, seed=args.seed))

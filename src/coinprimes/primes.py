@@ -4,11 +4,13 @@ Each sieve window stores one bool per odd number, so a window of 2**21
 numbers takes 1 MiB. A window starts as a copy of a wheel pattern with the
 odd multiples of 3, 5, 7, 11 and 13 already struck, so only the larger base
 primes are struck window by window. sieve_windows yields these bitmaps;
-prime_windows turns each into an array of primes, while pi and class_counts
-count straight from the bits: entry i of a window is first + 2*i, so its
-class mod m repeats with period m / gcd(m, 2), and one column sum of the
-bitmap gives every class's count in the window. The grid kernel
-(pistar.gap_prime_counts) reads sieve_segment, one bool per number.
+prime_windows turns each into an array of primes, while pi, class_counts
+and prefix_class_counts count straight from the bits: entry i of a window
+is first + 2*i, so its class mod m repeats with period m / gcd(m, 2), and
+one column sum of a run of the bitmap (_phase_sums) gives every class's
+count in the run. The grid kernel (pistar.gap_prime_counts) reads
+sieve_segment, one bool per number. primes_array, the whole table, is kept
+as the tests' reference.
 """
 
 import math
@@ -99,17 +101,34 @@ def pi(x) -> int:
     return 1 + sum(int(np.count_nonzero(bits)) for _, bits in sieve_windows(0, int(x) + 1))
 
 
+def _phase_sums(bits, period: int) -> np.ndarray:
+    """The set entries of bits by position mod period: an int64 array of length period.
+
+    The bits, cut into about k rows of period*k entries, sum by column, and the
+    columns fold mod period; the entries past the last whole row are counted
+    one by one.
+    """
+    n = bits.size
+    k = max(math.isqrt(n // period), 1)
+    body = n // (period * k) * period * k
+    # at most isqrt(n // period) + 3 rows (about 1,000 in a default window), so uint16 column sums hold them
+    columns = bits[:body].view(np.uint8).reshape(-1, period * k).sum(axis=0, dtype=np.uint16)
+    phase = columns.reshape(k, period).sum(axis=0, dtype=np.int64)
+    phase += np.bincount(np.flatnonzero(bits[body:]) % period, minlength=period)  # body is whole periods
+    return phase
+
+
 def class_counts(x, m: int, below=None):
     """Primes p <= x in each residue class mod m, from one pass of sieve_windows: (counts, pi(x)).
 
     counts[c] (an int64 array of length m) counts the primes p = c (mod m), and
     with below, an int64 array of length m, only those p < below[c]; pi(x)
     counts every prime <= x. Entry i of a window is first + 2*i, so its class
-    repeats with period P = m / gcd(m, 2): the window's bits, cut into rows of
-    P*k entries, sum by column, and the columns fold mod P into one count per
-    class. A class whose cap falls inside a window counts the strided prefix
-    of its entries below the cap instead. Each cap falls in one window at
-    most, so that is at most m such counts over the whole pass.
+    repeats with period P = m / gcd(m, 2): the window's phase sums
+    (_phase_sums) give one count per class. A class whose cap falls inside a
+    window counts the strided prefix of its entries below the cap instead.
+    Each cap falls in one window at most, so that is at most m such counts
+    over the whole pass.
     """
     if m < 1:
         raise ValueError("modulus must be >= 1")
@@ -124,21 +143,53 @@ def class_counts(x, m: int, below=None):
     period = m // math.gcd(m, 2)
     steps = 2 * np.arange(period, dtype=np.int64)
     for first, bits in sieve_windows(0, int(x) + 1):
-        n = bits.size
-        k = max(math.isqrt(n // period), 1)
-        body = n // (period * k) * period * k
-        # at most isqrt(n // period) + 3 rows (about 1,000 in a default window), so uint16 column sums hold them
-        columns = bits[:body].view(np.uint8).reshape(-1, period * k).sum(axis=0, dtype=np.uint16)
-        phase = columns.reshape(k, period).sum(axis=0, dtype=np.int64)
-        phase += np.bincount(np.flatnonzero(bits[body:]) % period, minlength=period)  # body is whole periods
+        phase = _phase_sums(bits, period)
         total += int(phase.sum())
         cls = (first + steps) % m  # the class of phase j, each class of first's parity once
-        end = first + 2 * n
+        end = first + 2 * bits.size
         cap = below[cls]
         counts[cls] += np.where(cap >= end, phase, 0)
         for j in np.flatnonzero((first < cap) & (cap < end)).tolist():
             counts[cls[j]] += np.count_nonzero(bits[j : (int(cap[j]) - first + 1) // 2 : period])
     return counts, total
+
+
+def prefix_class_counts(cuts: dict) -> dict:
+    """{m: counts} for cuts {m: ascending cut points}, from one pass of sieve_windows for every modulus.
+
+    counts (int64, one row per cut point x and one column per class c mod m)
+    counts the primes p <= x with p = c (mod m); pi(x) is counts[:, 0] of
+    m = 1. Between two consecutive cuts of m the window's bits sum by phase
+    (_phase_sums), and phase j of a run starting at entry e is the class of
+    first + 2*(e + j). The walk reaches the largest cut of any modulus.
+    """
+    walks = {}
+    for m, xs in cuts.items():
+        if m < 1:
+            raise ValueError("modulus must be >= 1")
+        xs = np.asarray(xs, dtype=np.int64)
+        if (np.diff(xs) < 0).any():
+            raise ValueError("cut points must be ascending")
+        run = np.zeros(m, dtype=np.int64)
+        run[2 % m] = 1  # 2 is in no window; the rows of cuts below 2 are zeroed at the end
+        walks[m] = (xs, 2 * np.arange(m // math.gcd(m, 2), dtype=np.int64), run, np.zeros((xs.size, m), dtype=np.int64))
+    done = dict.fromkeys(walks, 0)  # per modulus, the cuts counted so far
+    top = max((int(xs[-1]) for xs, *_ in walks.values() if xs.size), default=-1)
+    for first, bits in sieve_windows(0, top + 1) if top >= 2 else ():
+        end = first + 2 * bits.size  # every prime below end but 2 is an entry of this window or an earlier one
+        for m, (xs, steps, run, rows) in walks.items():
+            i, stop = done[m], int(np.searchsorted(xs, end))
+            lo = 0
+            for j, e in enumerate(np.clip((xs[i:stop] - first) // 2 + 1, 0, bits.size).tolist(), i):
+                run[(first + 2 * lo + steps) % m] += _phase_sums(bits[lo:e], steps.size)
+                rows[j] = run
+                lo = e
+            if stop < xs.size:
+                run[(first + 2 * lo + steps) % m] += _phase_sums(bits[lo:], steps.size)
+            done[m] = stop
+    for xs, _, _, rows in walks.values():
+        rows[xs < 2] = 0
+    return {m: rows for m, (_, _, _, rows) in walks.items()}
 
 
 def primes_array(limit: int) -> np.ndarray:

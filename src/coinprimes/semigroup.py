@@ -55,9 +55,19 @@ def apery_table(a: int, b: int, b_inv: int) -> np.ndarray:
     return b * (np.arange(a, dtype=np.int64) * b_inv % a)
 
 
+def gap_bits(pair: SemigroupPair, lo: int, hi: int) -> np.ndarray:
+    """Gap bits for the half-open window [lo, hi), 0 <= lo: bits[i] is True iff lo + i is not representable.
+
+    Laid out as rows of a numbers, lo + r*a + j is a gap iff it is below the
+    Apery element of its class, that is iff r < limit[j]: one comparison of
+    the row numbers against a per-column limit, no per-number integers.
+    """
+    a, size = pair.a, max(hi - lo, 0)
+    j = np.arange(a, dtype=np.int64)
+    limit = -((lo + j - np.roll(apery_table(a, pair.b, pair.b_inv_mod_a), -(lo % a))) // a)  # ceil((apery - lo - j) / a)
+    return (np.arange(-(-size // a))[:, None] < limit).ravel()[:size]
+
+
 def gaps(pair: SemigroupPair) -> list:
     """All non-representable positive integers, ascending."""
-    if pair.a == 1 or pair.b == 1 or pair.s < 1:
-        return []
-    n = np.arange(1, pair.s + 1, dtype=np.int64)
-    return n[n < apery_table(pair.a, pair.b, pair.b_inv_mod_a)[n % pair.a]].tolist()
+    return (np.flatnonzero(gap_bits(pair, 1, pair.s + 1)) + 1).tolist()

@@ -249,14 +249,33 @@ def test_ap_envelope_counts_and_violation_order(monkeypatch):
 
     monkeypatch.setattr(bounds, "ap_fixed_range_bounds", too_tight)
     for m_max, x_max, points in ((12, 10**6, 8), (2, 10**4, 5), (1, 5000, 3)):
-        got = bounds.validate_ap_envelope(primes.primes_array(x_max), m_max, x_max, points=points)
+        got = bounds.validate_ap_envelope(m_max, x_max, points=points)
         checked, want = _ap_envelope_reference(m_max, x_max, points)
         assert got.n_checked == checked
         assert got.violations == want
         assert [repr(v) for v in got.violations] == [repr(v) for v in want]  # plain ints and floats
-    more = bounds.validate_ap_envelope(primes.primes_array(10**6), 12, 10**6, 8)
+    more = bounds.validate_ap_envelope(12, 10**6, 8)
     kinds = {v.name for v in got.violations} | {v.name for v in more.violations}
     assert kinds == {"ap-lower", "ap-upper"}
+
+
+def test_ap_bounds_column_matches_the_scalar_and_factors_m_once(monkeypatch):
+    """A column of x gives each row's scalar envelope bit for bit, from one phi(m); the validator factors each m once."""
+    factored = []
+    real = arith.factor
+    monkeypatch.setattr(arith, "factor", lambda n: factored.append(n) or real(n))
+    for m in (1, 2, 4, 7, 12, 50, 1200):
+        xs = np.array(bounds.log_spaced_ints(50 * m * m, 10**15, 40) + [2**53 + 1, 2**62], dtype=np.int64)
+        factored.clear()
+        lows, highs = bounds.ap_fixed_range_bounds(xs, m)
+        assert factored == [m]
+        want = np.array([bounds.ap_fixed_range_bounds(x, m) for x in xs.tolist()]).T
+        assert lows.tobytes() == want[0].tobytes() and highs.tobytes() == want[1].tobytes(), m
+    with pytest.raises(DomainError):
+        bounds.ap_fixed_range_bounds(np.array([800, 799], dtype=np.int64), 4)
+    factored.clear()
+    check = bounds.validate_ap_envelope(12, 10**6, 8)
+    assert check.ok and factored == list(range(1, 13))
 
 
 def test_mv_k_max_is_capped_where_the_double_stays_inside_the_guard(monkeypatch):
@@ -274,10 +293,9 @@ def test_mv_k_max_is_capped_where_the_double_stays_inside_the_guard(monkeypatch)
 
 def test_envelopes_decided_in_intervals_agree(monkeypatch):
     # with the guard wide open every comparison is built in interval arithmetic
-    table = primes.primes_array(10**5)
     plain = (
-        bounds.validate_rs_envelope(table, 10**5, points=30),
-        bounds.validate_ap_envelope(table, 3, 10**5, points=4),
+        bounds.validate_rs_envelope(10**5, points=30),
+        bounds.validate_ap_envelope(3, 10**5, points=4),
         bounds.validate_mv_bound(samples=40, x_max=10**4, y_max=10**4, k_max=50, seed=3),
         verify._strict_half_window_ok(9),
     )
@@ -285,8 +303,8 @@ def test_envelopes_decided_in_intervals_agree(monkeypatch):
     real = bounds._interval_strictly_greater
     monkeypatch.setattr(bounds, "_interval_strictly_greater", lambda lf, rf: calls.append(1) or real(lf, rf))
     monkeypatch.setattr(bounds, "REL_GUARD", 1.0)
-    rs = bounds.validate_rs_envelope(table, 10**5, points=30)
-    ap = bounds.validate_ap_envelope(table, 3, 10**5, points=4)
+    rs = bounds.validate_rs_envelope(10**5, points=30)
+    ap = bounds.validate_ap_envelope(3, 10**5, points=4)
     mv = bounds.validate_mv_bound(samples=40, x_max=10**4, y_max=10**4, k_max=50, seed=3)
     assert (rs, ap, mv) == plain[:3]
     assert len(calls) == rs.n_checked + ap.n_checked + mv.n_checked
@@ -318,9 +336,9 @@ def test_guarded_greater_column_decides_only_close_rows():
 
 
 def test_validators_small_scale():
-    rs = bounds.validate_rs_envelope(primes.primes_array(10**5), 10**5, points=60)
+    rs = bounds.validate_rs_envelope(10**5, points=60)
     assert rs.ok and rs.n_checked == 120
-    ap = bounds.validate_ap_envelope(primes.primes_array(10**6), 12, 10**6, points=6)
+    ap = bounds.validate_ap_envelope(12, 10**6, points=6)
     assert ap.ok and ap.n_checked > 0
     mv = bounds.validate_mv_bound(samples=400, x_max=10**5, y_max=10**5, k_max=100, seed=7)
     assert mv.ok and mv.n_checked == 400

@@ -5,12 +5,11 @@ import os
 import random
 import subprocess
 import sys
-import weakref
 
 import pytest
 
 import coinprimes
-from coinprimes import bounds, pistar, primes, semigroup, verify
+from coinprimes import bounds, cli, pistar, primes, semigroup, verify
 from coinprimes.cli import build_parser, main
 
 
@@ -106,6 +105,20 @@ def test_gaps_checks_the_brute_cap_first(capsys, monkeypatch):
     monkeypatch.setattr(primes, "sieve_segment", lambda *args: pytest.fail("sieved before the cap check"))
     rc, out, err = run(capsys, "gaps", "--a", "1840", "--b", "40781")
     assert (rc, out, err) == (3, "", "error: s = 74994419 exceeds brute-force cap 10000000\n")
+
+
+def test_gaps_streams_the_listing_of_every_window(capsys, monkeypatch):
+    """With windows of a few numbers and slices of a few lines, gaps writes the listing that one
+    pass over every number to s gives: membership by the Apery test, primality by trial division."""
+    monkeypatch.setattr(cli, "_GAP_LINES", 3)
+    for window in (1, 2, 7, 64):
+        monkeypatch.setattr(primes, "DEFAULT_WINDOW", window)
+        for a, b in ((3, 5), (2, 7), (7, 10), (10, 7), (13, 25), (5, 1), (2, 3)):
+            pair = semigroup.new_pair(a, b)
+            want = "".join(
+                f"{n}\t{'p' if primes.is_prime(n) else '-'}\n" for n in range(1, pair.s + 1) if not semigroup.contains(pair, n)
+            )
+            assert run(capsys, "gaps", "--a", str(a), "--b", str(b)) == (0, want, ""), (window, a, b)
 
 
 def test_gaps_empty(capsys):
@@ -325,6 +338,7 @@ def test_bad_inputs(capsys, monkeypatch):
         assert rc == 2 and "--x-max" in err and "Traceback" not in err, x_max
     # sizes past their caps exit 3 before any table is sieved, any sample drawn or any delta row built
     monkeypatch.setattr(primes, "primes_array", lambda *args: pytest.fail("prime table built"))
+    monkeypatch.setattr(primes, "sieve_windows", lambda *args: pytest.fail("sieved"))
     monkeypatch.setattr(bounds, "_mv_draws", lambda *args: pytest.fail("samples drawn"))
     monkeypatch.setattr(verify, "reproduce_thm1_cases", lambda *args, **kwargs: pytest.fail("thm1 case run"))
     x_over, samples_over = str(bounds.X_MAX_CAP + 1), str(bounds.SAMPLES_CAP + 1)
@@ -377,28 +391,32 @@ def test_resume_rejects_impossible_counts(tmp_path, capsys):
     assert (rc, out) == (4, "")
 
 
-@pytest.mark.parametrize("check,tables", [("all", 1), ("rs", 1), ("ap", 1), ("mv", 0)])
-def test_verify_bounds_builds_one_table(capsys, monkeypatch, check, tables):
-    """rs and ap read one prime table, and nothing holds it once the Montgomery-Vaughan check starts."""
-    built, mv_runs = [], []
-    real_table, real_mv = primes.primes_array, bounds.validate_mv_bound
-
-    def table(limit):
-        out = real_table(limit)
-        built.append(weakref.ref(out))
-        return out
-
-    def mv(*args, **kwargs):
-        assert all(ref() is None for ref in built)
-        mv_runs.append(1)
-        return real_mv(*args, **kwargs)
-
-    monkeypatch.setattr(primes, "primes_array", table)
-    monkeypatch.setattr(bounds, "validate_mv_bound", mv)
+@pytest.mark.parametrize("check", ["all", "rs", "ap", "mv"])
+def test_verify_bounds_builds_no_table(capsys, monkeypatch, check):
+    """Every check counts primes straight from the sieve bitmaps: no prime table and no array of primes."""
+    monkeypatch.setattr(primes, "primes_array", lambda *args: pytest.fail("prime table built"))
+    monkeypatch.setattr(primes, "prime_windows", lambda *args: pytest.fail("prime array built"))
     rc, out, _ = run(capsys, "verify", "bounds", "--check", check, "--x-max", "1e5", "--samples", "50")
     assert rc == 0 and out.startswith("PASS: ")
-    assert len(built) == tables
-    assert len(mv_runs) == (check in ("mv", "all"))
+
+
+def test_verify_bounds_at_the_smallest_x_max(capsys):
+    """Below 17 the Rosser-Schoenfeld grid is empty and exits 2; below 50 no modulus has a progression point."""
+    rs = {17: "2", 49: "66", 50: "68"}
+    for x_max in (16, 17, 49, 50):
+        lines = {
+            "rs": [f"PASS: rosser-schoenfeld ({rs[x_max]} checks, 0 violations)"] if x_max in rs else [],
+            "ap": [f"PASS: ap-fixed-range ({2 * (x_max == 50)} checks, 0 violations)"],
+            "mv": ["PASS: montgomery-vaughan (50 checks, 0 violations)"],
+        }
+        for check in ("rs", "ap", "all"):
+            argv = ("verify", "bounds", "--check", check, "--x-max", str(x_max), "--samples", "50", "--seed", "1")
+            rc, out, err = run(capsys, *argv)
+            if x_max == 16 and check != "ap":
+                assert (rc, out, err) == (2, "", "error: needs lo <= hi\n"), argv
+            else:
+                want = lines[check] if check != "all" else lines["rs"] + lines["ap"] + lines["mv"]
+                assert (rc, out, err) == (0, "".join(line + "\n" for line in want), ""), argv
 
 
 def test_corrupt_checkpoint_exit_code(tmp_path, capsys):

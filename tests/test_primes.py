@@ -1,9 +1,12 @@
 import bisect
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coinprimes import primes
 
@@ -180,6 +183,44 @@ def test_class_counts_matches_per_prime_reference(monkeypatch):
                     assert total == want_pi == pi_x, (window, x, m)
     with pytest.raises(ValueError):
         primes.class_counts(100, 0)
+
+
+@st.composite
+def _window_and_cuts(draw):
+    """A window of 1-64 numbers and moduli in [1, 60], each with ascending cut points up to 3000:
+    0 to 3, numbers next to a window's first number, any number, repeats among them."""
+    window = draw(st.integers(1, 64))
+    edge = st.builds(lambda k, d: max(k * window + d, 0), st.integers(0, 3000 // window), st.integers(-1, 2))
+    point = st.one_of(st.integers(0, 3), edge, st.integers(0, 3000))
+    moduli = draw(st.lists(st.integers(1, 60), unique=True, max_size=4))
+    return window, {m: sorted(draw(st.lists(point, max_size=10))) for m in moduli}
+
+
+SMALL_PRIMES = primes.primes_array(3003)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_window_and_cuts())
+@example((1, {1: [0, 1, 2, 3, 3, 3000], 2: [2, 2, 3], 60: [0, 5, 5, 64, 65]}))
+@example((7, {59: [6, 7, 7, 8, 13, 14, 15], 30: [1, 2, 3, 4], 45: [3000]}))  # windows narrower than m
+@example((64, {}))
+@example((3, {4: [], 5: [0, 1]}))
+def test_prefix_class_counts_property(case):
+    """The walk's class counts at every cut equal a bincount of p % m over the primes up to the cut."""
+    window, cuts = case
+    with mock.patch.object(primes, "DEFAULT_WINDOW", window):
+        got = primes.prefix_class_counts(cuts)
+    assert got.keys() == cuts.keys()
+    for m, xs in cuts.items():
+        want = [np.bincount(SMALL_PRIMES[SMALL_PRIMES <= x] % m, minlength=m).tolist() for x in xs]
+        assert got[m].dtype == np.int64 and got[m].shape == (len(xs), m) and got[m].tolist() == want, (window, m, xs)
+
+
+def test_prefix_class_counts_refuses_bad_input():
+    with pytest.raises(ValueError):
+        primes.prefix_class_counts({3: [5, 4]})
+    with pytest.raises(ValueError):
+        primes.prefix_class_counts({0: [5]})
 
 
 def test_pi_ap_point_values():
