@@ -63,8 +63,9 @@ def _compute_one(pair, method, brute_cap):
 def cmd_compute(args) -> int:
     pair = new_pair(args.a, args.b)
     methods = _METHOD_FLAGS[args.method]
+    bounds.check_cap("s", pair.s, bounds.X_MAX_CAP)  # both caps before any method sieves [2, s]
     if pistar.METHOD_BRUTE in methods:
-        pistar.check_brute_cap(pair, args.brute_cap)  # before any other method sieves [2, s]
+        pistar.check_brute_cap(pair, args.brute_cap)
     results = [_compute_one(pair, m, args.brute_cap) for m in methods]
     if len({(r.pi_star, r.pi_s) for r in results}) != 1:
         counts = ", ".join(f"{r.method}=({r.pi_star}, {r.pi_s})" for r in results)

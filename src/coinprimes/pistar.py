@@ -6,8 +6,9 @@ Three independent routes compute the same number:
                gap iff p < w[p mod a], w the Apery table of semigroup.apery_table
   residue-sum  sum over v of the primes below b*v in the class b*v mod a:
                for one pair, capped class counts read off the sieve bitmaps
-               (primes.class_counts); for many b of one a, the
-               gap_prime_counts kernel
+               (primes.class_counts), the classes taken mod the smaller
+               generator, as the identity is symmetric in a and b; for many
+               b of one a, the gap_prime_counts kernel
   brute-force  mark every a*u + b*v up to s, then subtract from a dense sieve
 
 Every grid command counts with the residue-sum kernel; fast and brute force
@@ -55,7 +56,7 @@ def count_gap_primes(chunk: np.ndarray, a: int, b: int, b_inv: int) -> int:
 
 def pi_star_fast(pair: SemigroupPair) -> PiStarResult:
     """Stream sieve windows over [2, s] and apply the membership test."""
-    if pair.a == 1 or pair.b == 1 or pair.s < 2:
+    if pair.s < 2:
         return _result(pair, 0, 0, METHOD_FAST)
     total = 0
     gapped = 0
@@ -112,14 +113,16 @@ def gap_prime_counts(a: int, bs: np.ndarray, below: np.ndarray = None):
 
 
 def pi_star_residue_sum(pair: SemigroupPair) -> PiStarResult:
-    """The residue-sum identity for one pair: the primes p <= s in each class c mod a below b*v,
-    v = c * b^-1 mod a, counted by primes.class_counts in one pass of the sieve windows of [2, s].
+    """The residue-sum identity for one pair, with m = min(a, b) and n = max(a, b): the primes
+    p <= s in each class c mod m below n*v, v = c * n^-1 mod m, counted by primes.class_counts in
+    one pass of the sieve windows of [2, s]; the smaller modulus means fewer classes to cap.
 
     No prime array or table is built, so the memory does not grow with s; s < 2 gives (0, 0).
     The caps are computed here, not taken from apery_table, so fast and this route share only the sieve.
     """
-    v = np.arange(pair.a, dtype=np.int64) * pair.b_inv_mod_a % pair.a
-    counts, pi_s = primelib.class_counts(pair.s, pair.a, pair.b * v)
+    m, n = sorted((pair.a, pair.b))
+    v = np.arange(m, dtype=np.int64) * pow(n, -1, m) % m
+    counts, pi_s = primelib.class_counts(pair.s, m, n * v)
     return _result(pair, int(counts.sum()), pi_s, METHOD_RESIDUE)
 
 
@@ -141,16 +144,16 @@ def check_brute_cap(pair: SemigroupPair, cap: int):
 
 
 def pi_star_bruteforce(pair: SemigroupPair, cap: int = BRUTE_FORCE_CAP) -> PiStarResult:
-    """Enumerate every representable a*u + b*v <= s, then count prime leftovers."""
+    """Enumerate every representable a*u + b*v <= s, striding by min(a, b) from each multiple of
+    max(a, b), then count prime leftovers."""
     check_brute_cap(pair, cap)
     s = pair.s
-    if pair.a == 1 or pair.b == 1 or s < 2:
+    if s < 2:
         return _result(pair, 0, 0, METHOD_BRUTE)
+    m, n = sorted((pair.a, pair.b))
     reachable = np.zeros(s + 1, dtype=bool)
-    v = 0
-    while pair.b * v <= s:
-        reachable[pair.b * v :: pair.a] = True
-        v += 1
+    for start in range(0, s + 1, n):
+        reachable[start::m] = True
     flags = _dense_prime_flags(s)
     pi_s = int(np.count_nonzero(flags))
     gapped = int(np.count_nonzero(flags & ~reachable))

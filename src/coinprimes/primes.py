@@ -4,13 +4,15 @@ Each sieve window stores one bool per odd number, so a window of 2**21
 numbers takes 1 MiB. A window starts as a copy of a wheel pattern with the
 odd multiples of 3, 5, 7, 11 and 13 already struck, so only the larger base
 primes are struck window by window. sieve_windows yields these bitmaps;
-prime_windows turns each into an array of primes, while pi, class_counts
-and prefix_class_counts count straight from the bits: entry i of a window
-is first + 2*i, so its class mod m repeats with period m / gcd(m, 2), and
-one column sum of a run of the bitmap (_phase_sums) gives every class's
-count in the run. The grid kernel (pistar.gap_prime_counts) reads
-sieve_segment, one bool per number. primes_array, the whole table, is kept
-as the tests' reference.
+prime_windows turns each into an array of primes, while prefix_class_counts
+and class_counts count straight from the bits: entry i of a window is
+first + 2*i, so its class mod m repeats with period m / gcd(m, 2), and one
+column sum of a run of the bitmap (_phase_sums) gives every class's count in
+the run. pi and pi_ap are one-cut walks of prefix_class_counts; class_counts
+keeps the per-class caps of the single-pair residue route
+(pistar.pi_star_residue_sum). The grid kernel (pistar.gap_prime_counts)
+reads sieve_segment, one bool per number. primes_array, the whole table
+joined from prime_windows, is kept as the tests' reference.
 """
 
 import math
@@ -94,13 +96,6 @@ def prime_windows(lo: int, hi: int):
             yield arr
 
 
-def pi(x) -> int:
-    """Exact count of primes <= x."""
-    if x < 2:
-        return 0
-    return 1 + sum(int(np.count_nonzero(bits)) for _, bits in sieve_windows(0, int(x) + 1))
-
-
 def _phase_sums(bits, period: int) -> np.ndarray:
     """The set entries of bits by position mod period: an int64 array of length period.
 
@@ -118,12 +113,12 @@ def _phase_sums(bits, period: int) -> np.ndarray:
     return phase
 
 
-def class_counts(x, m: int, below=None):
-    """Primes p <= x in each residue class mod m, from one pass of sieve_windows: (counts, pi(x)).
+def class_counts(x, m: int, below):
+    """Capped class counts of the primes p <= x, from one pass of sieve_windows: (counts, pi(x)).
 
-    counts[c] (an int64 array of length m) counts the primes p = c (mod m), and
-    with below, an int64 array of length m, only those p < below[c]; pi(x)
-    counts every prime <= x. Entry i of a window is first + 2*i, so its class
+    counts[c] (an int64 array of length m) counts the primes p = c (mod m)
+    with p < below[c], below being an int64 array of length m; pi(x) counts
+    every prime <= x. Entry i of a window is first + 2*i, so its class
     repeats with period P = m / gcd(m, 2): the window's phase sums
     (_phase_sums) give one count per class. A class whose cap falls inside a
     window counts the strided prefix of its entries below the cap instead.
@@ -135,8 +130,6 @@ def class_counts(x, m: int, below=None):
     counts = np.zeros(m, dtype=np.int64)
     if x < 2:
         return counts, 0
-    if below is None:
-        below = np.full(m, np.iinfo(np.int64).max)
     if below[2 % m] > 2:
         counts[2 % m] = 1
     total = 1
@@ -193,25 +186,22 @@ def prefix_class_counts(cuts: dict) -> dict:
 
 
 def primes_array(limit: int) -> np.ndarray:
-    """Ascending primes <= limit as an int64 array."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    # pi(x) < 1.25506 x / log x for x > 1 (Rosser and Schoenfeld), so one buffer takes every window
-    table = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
-    n = 0
-    for arr in prime_windows(0, limit + 1):
-        table[n : n + arr.size] = arr
-        n += arr.size
-    return table[:n]
+    """Ascending primes <= limit as an int64 array: the arrays of prime_windows joined."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *prime_windows(0, limit + 1)])
+
+
+def pi(x) -> int:
+    """Exact count of primes <= x: one cut of prefix_class_counts."""
+    return int(prefix_class_counts({1: [int(x)]})[1][0, 0])
 
 
 def pi_ap(x, m: int, l: int) -> int:
-    """Exact count of primes p <= x in the residue class l mod m (class_counts; O(m) memory).
+    """Exact count of primes p <= x in the residue class l mod m: one cut of prefix_class_counts.
 
     Any l is accepted and reduced mod m; classes sharing a factor with m
     hold at most the one prime dividing m.
     """
-    return int(class_counts(x, m)[0][l % m])
+    return int(prefix_class_counts({m: [int(x)]})[m][0, l % m])
 
 
 def is_prime(n: int) -> bool:

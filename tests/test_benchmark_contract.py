@@ -18,10 +18,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_verify import _InlineExecutor
 
-from coinprimes import cli, verify
+from coinprimes import cli, primes, verify
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -63,6 +64,25 @@ def test_traced_arguments_keep_their_positions():
         assert [p.name for p in params[: len(names)]] == list(names), f"{mod_name}.{fn_name}"
         assert all(p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) for p in params[: len(names)])
     assert "checkpoint_path" in {f.name for f in dataclasses.fields(verify.SweepConfig)}
+
+
+def test_primes_array_is_joined_from_one_prime_windows_walk(monkeypatch):
+    """spans.summarize reads primes.table_regrowths and table_peak_mb off the prime_windows calls made
+    inside primes_array, so the table is one such walk, joined."""
+    calls = []
+    real = primes.prime_windows
+
+    def spy(lo, hi):
+        calls.append((lo, hi, list(real(lo, hi))))
+        return iter(calls[-1][2])
+
+    monkeypatch.setattr(primes, "DEFAULT_WINDOW", 1 << 12)
+    monkeypatch.setattr(primes, "prime_windows", spy)
+    for limit in (0, 2, 10**4 + 7):
+        calls.clear()
+        table = primes.primes_array(limit)
+        assert [(lo, hi) for lo, hi, _ in calls] == [(0, limit + 1)], limit
+        assert table.dtype == np.int64 and table.tolist() == [int(p) for arr in calls[0][2] for p in arr], limit
 
 
 def test_workload_commands_parse(tmp_path):

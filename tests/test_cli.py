@@ -90,6 +90,18 @@ def test_compute_all_checks_the_brute_cap_first(capsys, monkeypatch):
     assert (rc, out, err) == (3, "", "error: s = 74994419 exceeds brute-force cap 10000000\n")
 
 
+def test_compute_checks_the_sieve_cap_first(capsys, monkeypatch):
+    """compute exits 3 when s passes bounds.X_MAX_CAP, before any method sieves, on every method."""
+    monkeypatch.setattr(primes, "sieve_windows", lambda *args: pytest.fail("sieved before the cap check"))
+    monkeypatch.setattr(primes, "sieve_segment", lambda *args: pytest.fail("sieved before the cap check"))
+    pairs = [("3", "10000000000000000000"), ("30000000000", "30000000001"), ("3", "5000000000000000000")]
+    for a, b in pairs:
+        for method in ("fast", "residue", "brute", "all"):
+            rc, out, err = run(capsys, "compute", "--a", a, "--b", b, "--method", method)
+            s = int(a) * int(b) - int(a) - int(b)
+            assert (rc, out, err) == (3, "", f"error: s = {s} exceeds cap {bounds.X_MAX_CAP}\n"), (a, b, method)
+
+
 def test_gaps_output(capsys):
     rc, out, _ = run(capsys, "gaps", "--a", "3", "--b", "5")
     assert rc == 0

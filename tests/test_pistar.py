@@ -90,6 +90,21 @@ def test_symmetry_in_generators():
         assert x == y
 
 
+def test_reversed_pairs_count_alike_on_every_route():
+    """A pair and its reverse give the same (pi_star, pi_s) on fast, residue and brute force, and the
+    residue route counts classes mod the smaller generator whichever order the pair is given in."""
+    pairs = [(1, 7), (2, 9), (3, 5), (12, 25), (101, 97), (3, 200003), (1024, 4001)]
+    with mock.patch.object(primes, "class_counts", wraps=primes.class_counts) as spy:
+        for a, b in pairs:
+            counts = set()
+            for pair in (semigroup.new_pair(a, b), semigroup.new_pair(b, a)):
+                for route in (pistar.pi_star_fast, pistar.pi_star_residue_sum, pistar.pi_star_bruteforce):
+                    r = route(pair)
+                    counts.add((r.pi_star, r.pi_s))
+            assert len(counts) == 1, (a, b, counts)
+    assert [c.args[1] for c in spy.call_args_list] == [min(a, b) for a, b in pairs for _ in range(2)]
+
+
 def test_closed_forms():
     # <1, y> misses nothing; <2, y> misses the odd numbers below y, so pi(y - 2) - 1 primes for y >= 5
     for b in (3, 11):

@@ -108,6 +108,9 @@ def test_pi_point_values():
     assert primes.pi(10**6) == 78498
     assert primes.pi(10**7) == 664579
     assert primes.pi(10**8) == 5761455
+    # x < 2 (negative too) gives 0, and a float x counts the primes up to its integer part
+    assert primes.pi(-7) == primes.pi(1.99) == 0
+    assert primes.pi(10.5) == 4 and primes.pi_ap(20.9, 4, 1) == 3
 
 
 def test_pi_window_size_independent(monkeypatch):
@@ -144,7 +147,7 @@ def test_primes_array_is_sorted_prefix():
 
 
 def _class_counts_reference(x, m, below):
-    """Per-prime reference: the primes <= x by class mod m, each kept only below its class's cap."""
+    """Per-prime reference: the primes <= x by class mod m, each kept only below its class's cap if below is given."""
     p = primes.primes_array(max(x, 2))
     p = p[p <= x]
     res = p % m
@@ -160,8 +163,9 @@ def _window_edges(x):
 
 
 def test_class_counts_matches_per_prime_reference(monkeypatch):
-    """Class counts from the bitmap columns, with and without caps, equal a count over the primes, for
-    moduli even and odd, one larger than a window's entries, and caps on and next to window edges."""
+    """Capped class counts from the bitmap columns equal a count over the primes, for moduli even and
+    odd, one larger than a window's entries, and caps on and next to window edges; so do pi(x) and
+    pi_ap(x, m, l), the uncapped one-cut walks, at the same window edges."""
     rng = np.random.default_rng(25)
     # wide: a modulus past a full window's window // 2 entries; at the default window a cap per class
     # would take seconds, so there only the windows of x <= 3 hold fewer entries than 97
@@ -171,18 +175,23 @@ def test_class_counts_matches_per_prime_reference(monkeypatch):
             edges = np.array(_window_edges(x), dtype=np.int64)
             pi_x = primes.pi(x)
             for m in (1, 2, 3, 30, 97, wide):
+                uncapped = _class_counts_reference(x, m, None)[0]
+                for l in {0, 1, 2 % m, m - 1}:
+                    assert primes.pi_ap(x, m, l) == uncapped[l % m], (window, x, m, l)
                 caps = (
                     rng.choice(edges, size=m),
                     rng.integers(0, x + 3, size=m),
                     np.where(rng.random(m) < 0.5, rng.choice(edges, size=m), rng.integers(0, x + 3, size=m)),
                 )
-                for below in (None,) + caps:
+                for below in caps:
                     counts, total = primes.class_counts(x, m, below)
                     want, want_pi = _class_counts_reference(x, m, below)
                     assert counts.dtype == np.int64 and counts.tolist() == want, (window, x, m)
                     assert total == want_pi == pi_x, (window, x, m)
     with pytest.raises(ValueError):
-        primes.class_counts(100, 0)
+        primes.class_counts(100, 0, np.zeros(0, dtype=np.int64))
+    with pytest.raises(ValueError):
+        primes.pi_ap(100, 0, 1)
 
 
 @st.composite
