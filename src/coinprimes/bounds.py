@@ -40,7 +40,7 @@ _GUARD_PRECISIONS = (120, 240, 480, 960)
 
 # The largest sizes a run may ask for. X_MAX_CAP bounds the time of the envelope checks' sieve walk
 # (the progression check took 4 s at 10**9 on 2 vCPUs) and of a sweep's (verify.sieve_top). Each sample is
-# a Python tuple of the Montgomery-Vaughan check or a delta row of thm1 case 1, all held at once; a
+# a row of the Montgomery-Vaughan check's columns or a delta row of thm1 case 1, all held at once; a
 # sweep holds the record columns of every pair of its grid, and GRID_CAP bounds verify.grid_size.
 X_MAX_CAP = 10**9
 SAMPLES_CAP = 10**6
@@ -400,26 +400,16 @@ def validate_ap_envelope(m_max: int, x_max: int, points: int = 20) -> EnvelopeCh
     return EnvelopeCheck("ap-fixed-range", checked, violations)
 
 
-def _mv_draws(samples: int, x_max: int, y_max: int, k_max: int, seed: int) -> list:
-    """The (x, y, k, l) samples of validate_mv_bound, in draw order: log-uniform k and y > k, uniform x and l.
-
-    Each uniform(lo, hi) is written lo + (hi - lo) * random(), the expression numpy's
-    Generator.uniform evaluates on the same double, so these are the draws of rng.uniform.
-    """
+def _mv_draws(samples: int, x_max: int, y_max: int, k_max: int, seed: int):
+    """The int64 columns (x, y, k, l) of validate_mv_bound's samples, all from one generator seeded with seed:
+    k log-uniform in [1, k_max], y log-uniform in [k + 1, max(y_max, k + 1)], x uniform in [0, x_max) and
+    l uniform in [0, k), each of the first three from one column of rng.random."""
     rng = np.random.default_rng(seed)
-    random, integers = rng.random, rng.integers
-    log_k_max, log_y_max = math.log(k_max), math.log(y_max)
-    draws = []
-    for _ in range(samples):
-        k = max(int(math.exp(log_k_max * random())), 1)
-        if k + 1 < y_max:
-            lo = math.log(k + 1)
-            y = max(int(math.exp(lo + (log_y_max - lo) * random())), k + 1)
-        else:
-            y = k + 1
-        x = int(x_max * random())
-        draws.append((x, y, k, int(integers(0, k))))
-    return draws
+    k = np.maximum(np.exp(math.log(k_max) * rng.random(samples)).astype(np.int64), 1)
+    lo = np.log(k + 1)
+    y = np.maximum(np.exp(lo + (math.log(y_max) - lo) * rng.random(samples)).astype(np.int64), k + 1)
+    x = (x_max * rng.random(samples)).astype(np.int64)
+    return x, y, k, rng.integers(0, k)
 
 
 def validate_mv_bound(
@@ -431,7 +421,7 @@ def validate_mv_bound(
 ) -> EnvelopeCheck:
     """Sample (x, y, k, l) with k < y and compare interval class counts to mv_upper.
 
-    The draws (_mv_draws) come first and are only collected. The primes up to
+    The samples are the seeded int64 columns of _mv_draws. The primes up to
     the largest x + y drawn are one bool bitmap, and a sample's count of the
     primes n in (x, x + y] with n = l (mod k) is one strided view of it, from
     the least such n above x. phi(k) is one column (arith.coprime_counts) and
@@ -441,8 +431,7 @@ def validate_mv_bound(
     """
     if k_max > MV_K_MAX:
         raise DomainError(f"k_max = {k_max} is past {MV_K_MAX}, where the Montgomery-Vaughan double may pass REL_GUARD")
-    draws = _mv_draws(samples, x_max, y_max, k_max, seed)
-    x, y, k, l = np.array(draws, dtype=np.int64).reshape(-1, 4).T
+    x, y, k, l = _mv_draws(samples, x_max, y_max, k_max, seed)
     ends = x + y + 1
     flags = primelib.sieve_segment(0, int(ends.max(initial=1)))
     firsts = x + 1 + (l - x - 1) % k  # the least n > x with n = l (mod k)
@@ -453,7 +442,7 @@ def validate_mv_bound(
     ok = guarded_greater_column(uppers, counts, _rows(_mv, y, k, phi), _rows(_value, counts))
     violations = []
     for i in np.flatnonzero(~ok).tolist():
-        (x_i, y_i, k_i, l_i), count, bound = draws[i], int(counts[i]), float(uppers[i])
-        inputs = {"x": x_i, "y": y_i, "k": k_i, "l": l_i}
+        count, bound = int(counts[i]), float(uppers[i])
+        inputs = {"x": int(x[i]), "y": int(y[i]), "k": int(k[i]), "l": int(l[i])}
         violations.append(BoundReport("mv-upper", inputs, float(count), bound, False, bound - count))
     return EnvelopeCheck("montgomery-vaughan", samples, violations)

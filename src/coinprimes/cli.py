@@ -105,8 +105,8 @@ def _a_range_arg(text):
         lo, hi = map(int, text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected MIN:MAX, got {text!r}") from None
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"MIN > MAX in {text!r}")
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"needs 1 <= MIN <= MAX, got {text!r}")
     return lo, hi
 
 
@@ -257,6 +257,8 @@ def _verify_coj1(args) -> int:
 def _verify_bounds(args) -> int:
     x_max = int(args.x_max)
     bounds.check_cap("--x-max", x_max, bounds.X_MAX_CAP)
+    if args.check in ("rs", "all") and x_max < 17:  # the Rosser-Schoenfeld grid starts at 17
+        raise ValueError(f"--x-max must be at least 17 for --check {args.check}, got {x_max}")
     bounds.check_cap("--samples", args.samples, bounds.SAMPLES_CAP)
     checks = []
     if args.check in ("rs", "all"):
@@ -288,11 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     out_flags.add_argument("--brute-cap", type=int, default=pistar.BRUTE_FORCE_CAP)
     a_flags = argparse.ArgumentParser(add_help=False)
     one_of = a_flags.add_mutually_exclusive_group()
-    one_of.add_argument("--a", type=int)
-    one_of.add_argument("--a-max", type=int)
+    one_of.add_argument("--a", type=_positive_int)
+    one_of.add_argument("--a-max", type=_positive_int)
     one_of.add_argument("--a-range", type=_a_range_arg, metavar="MIN:MAX")
     sweep_flags = argparse.ArgumentParser(add_help=False, parents=[out_flags])
-    sweep_flags.add_argument("--b-max", type=int, help="check b <= B_MAX (implies the upto rule)")
+    sweep_flags.add_argument("--b-max", type=_positive_int, help="check b <= B_MAX (implies the upto rule)")
     sweep_flags.add_argument("--b-rule", choices=(verify.B_RULE_UPTO, verify.B_RULE_50A2, verify.B_RULE_EXP))
     sweep_flags.add_argument("--resume", metavar="PATH", help="JSON-lines checkpoint to append to and reuse")
     sweep_flags.add_argument("--threads", type=_positive_int, default=1)
@@ -316,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         targets.add_parser(name, parents=[a_flags, sweep_flags]).set_defaults(func=_verify_exceptions_target)
     targets.add_parser("thm3", parents=[a_flags]).set_defaults(func=_verify_thm3)
     t = targets.add_parser("coj1")
-    t.add_argument("--a-max", type=int, default=10)
-    t.add_argument("--b-max", type=int)
+    t.add_argument("--a-max", type=_positive_int, default=10)
+    t.add_argument("--b-max", type=_positive_int)
     t.set_defaults(func=_verify_coj1)
     t = targets.add_parser("bounds")
     t.add_argument("--check", choices=("rs", "ap", "mv", "all"), default="all")

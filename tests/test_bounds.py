@@ -344,21 +344,6 @@ def test_validators_small_scale():
     assert mv.ok and mv.n_checked == 400
 
 
-def _mv_reference_draws(samples, x_max, y_max, k_max, seed):
-    # the sampling loop as first written, with rng.uniform
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(samples):
-        k = int(math.exp(rng.uniform(0.0, math.log(k_max))))
-        k = max(k, 1)
-        y = int(math.exp(rng.uniform(math.log(k + 1), math.log(y_max)))) if k + 1 < y_max else k + 1
-        y = max(y, k + 1)
-        x = int(rng.uniform(0, x_max))
-        l = int(rng.integers(0, k))
-        out.append((x, y, k, l))
-    return out
-
-
 def _mv_columns(monkeypatch, **kwargs):
     """(check, counts, bounds) of validate_mv_bound, the two columns read off its guarded comparison."""
     seen = []
@@ -374,11 +359,23 @@ def _mv_columns(monkeypatch, **kwargs):
     return check, counts, uppers
 
 
-def test_mv_draws_are_those_of_rng_uniform():
-    for seed in range(24):
-        for x_max, y_max, k_max in ((10**6, 10**6, 10**4), (1000, 1000, 10**4), (10**4, 10**4, 50), (50, 7, 1)):
-            want = _mv_reference_draws(300, x_max, y_max, k_max, seed)
-            assert bounds._mv_draws(300, x_max, y_max, k_max, seed) == want
+def test_mv_draws_are_seeded_int64_columns_in_range():
+    def same(one, two):
+        return all(np.array_equal(c, d) for c, d in zip(one, two))
+
+    for x_max, y_max, k_max in ((10**6, 10**6, 10**4), (1000, 1000, 10**4), (10**4, 10**4, 50), (50, 7, 1)):
+        for seed in range(24):
+            x, y, k, l = cols = bounds._mv_draws(300, x_max, y_max, k_max, seed)
+            assert all(c.dtype == np.int64 and c.shape == (300,) for c in cols)
+            assert same(cols, bounds._mv_draws(300, x_max, y_max, k_max, seed))
+            assert not same(cols, bounds._mv_draws(300, x_max, y_max, k_max, seed + 1))
+            assert ((1 <= k) & (k <= k_max)).all() and ((k + 1 <= y) & (y <= np.maximum(y_max, k + 1))).all()
+            assert ((0 <= x) & (x < x_max)).all() and ((0 <= l) & (l < k)).all()
+        assert all(c.dtype == np.int64 and c.shape == (0,) for c in bounds._mv_draws(0, x_max, y_max, k_max, 1))
+
+
+def _mv_draw_rows(samples, x_max, y_max, k_max, seed):
+    return list(zip(*(c.tolist() for c in bounds._mv_draws(samples, x_max, y_max, k_max, seed))))
 
 
 def test_mv_counts_and_bounds_match_per_sample_definition(monkeypatch):
@@ -387,7 +384,7 @@ def test_mv_counts_and_bounds_match_per_sample_definition(monkeypatch):
         for kw in (dict(x_max=10**4, y_max=10**4, k_max=100), dict(x_max=5000, y_max=2000, k_max=3000)):
             _, counts, uppers = _mv_columns(monkeypatch, samples=300, seed=seed, **kw)
             want_counts, want_uppers = [], []
-            for x, y, k, l in _mv_reference_draws(300, seed=seed, **kw):
+            for x, y, k, l in _mv_draw_rows(300, seed=seed, **kw):
                 seg = p[np.searchsorted(p, x, side="right") : np.searchsorted(p, x + y, side="right")]
                 want_counts.append(int(np.count_nonzero(seg % k == l)))
                 want_uppers.append(bounds.mv_upper(x, y, k, l))
@@ -400,7 +397,7 @@ def test_mv_counts_reach_past_y_max(monkeypatch):
     check, counts, _ = _mv_columns(monkeypatch, samples=2000, x_max=1000, y_max=1000, k_max=10_000, seed=1)
     assert check.ok and check.n_checked == 2000
     p = primes.primes_array(10**5)
-    draws = _mv_reference_draws(2000, 1000, 1000, 10_000, 1)
+    draws = _mv_draw_rows(2000, 1000, 1000, 10_000, 1)
     assert max(x + y for x, y, _, _ in draws) > 2000
     want = [int(np.count_nonzero((p > x) & (p <= x + y) & (p % k == l))) for x, y, k, l in draws]
     assert counts == want
@@ -411,6 +408,13 @@ def test_mv_counts_reach_past_y_max(monkeypatch):
 def test_mv_bound_without_samples():
     mv = bounds.validate_mv_bound(samples=0)
     assert mv.n_checked == 0 and mv.ok
+
+
+def test_mv_bound_holds_for_many_seeds():
+    """The bound is a theorem for 1 <= k < y, so no seed may find a violation."""
+    for seed in range(1, 21):
+        mv = bounds.validate_mv_bound(seed=seed)
+        assert mv.ok and mv.n_checked == 10_000, seed
 
 
 # Each case draws a point of one bound's domain and returns (the double its public evaluator gives, the

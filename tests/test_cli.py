@@ -348,6 +348,13 @@ def test_bad_inputs(capsys, monkeypatch):
     for x_max in ("inf", "1e400", "nan"):
         rc, _, err = run(capsys, "verify", "bounds", "--x-max", x_max)
         assert rc == 2 and "--x-max" in err and "Traceback" not in err, x_max
+    # a and b values are at least 1, checked as the flags are parsed; the last flag of each argv is the bad one
+    nonpositive = [("thm1", "--a", "0"), ("thm1", "--b-max", "5", "--a", "-3"), ("coj2", "--a-max", "0")]
+    nonpositive += [("thm1", "--a-range", "0:4"), ("coj2", "--a-max", "4", "--b-max", "-1")]
+    nonpositive += [("coj1", "--a-max", "-5"), ("coj1", "--a-max", "3", "--b-max", "-4")]
+    for argv in nonpositive:
+        rc, out, err = run(capsys, "verify", *argv)
+        assert (rc, out) == (2, "") and f"argument {argv[-2]}:" in err, argv
     # sizes past their caps exit 3 before any table is sieved, any sample drawn or any delta row built
     monkeypatch.setattr(primes, "primes_array", lambda *args: pytest.fail("prime table built"))
     monkeypatch.setattr(primes, "sieve_windows", lambda *args: pytest.fail("sieved"))
@@ -425,7 +432,8 @@ def test_verify_bounds_at_the_smallest_x_max(capsys):
             argv = ("verify", "bounds", "--check", check, "--x-max", str(x_max), "--samples", "50", "--seed", "1")
             rc, out, err = run(capsys, *argv)
             if x_max == 16 and check != "ap":
-                assert (rc, out, err) == (2, "", "error: needs lo <= hi\n"), argv
+                want = f"error: --x-max must be at least 17 for --check {check}, got 16\n"
+                assert (rc, out, err) == (2, "", want), argv
             else:
                 want = lines[check] if check != "all" else lines["rs"] + lines["ap"] + lines["mv"]
                 assert (rc, out, err) == (0, "".join(line + "\n" for line in want), ""), argv
