@@ -15,7 +15,7 @@ import os
 # the caller set wins, and it takes effect only if numpy is not imported yet
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .arith import coprime_count_up_to, euler_phi, factor, mobius, omega
+from .arith import coprime_count_up_to, euler_phi, factor
 from .bounds import (
     ap_fixed_range_bounds,
     case4_constant,
@@ -64,10 +64,8 @@ __all__ = [
     "factor",
     "gaps",
     "is_prime",
-    "mobius",
     "mv_upper",
     "new_pair",
-    "omega",
     "pi",
     "pi_ap",
     "pi_star_bruteforce",

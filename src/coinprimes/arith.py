@@ -1,10 +1,10 @@
-"""Elementary arithmetic: factorization, multiplicative functions, coprime counts.
+"""Elementary arithmetic: factorization, Euler's phi and coprime counts.
 
-The scalar functions take one integer; coprime_counts takes int64 columns.
+factor, euler_phi and coprime_count_up_to take one integer; they are the
+scalar reference for coprime_counts, which takes int64 columns.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,16 +14,8 @@ from . import primes as primelib
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
-    """Prime factorization of n as ascending (prime, exponent) pairs."""
-
-    n: int
-    factors: tuple
-
-
-def factor(n: int) -> FactoredInteger:
-    """Trial-division factorization. Intended for n up to ~10**12."""
+def factor(n: int) -> tuple:
+    """Ascending (prime, exponent) pairs of n, by trial division. Intended for n up to ~10**12."""
     if n < 1:
         raise ValueError("factor() needs n >= 1")
     m = n
@@ -47,41 +39,17 @@ def factor(n: int) -> FactoredInteger:
         d += 6
     if m > 1:
         out.append((m, 1))
-    return FactoredInteger(n, tuple(out))
+    return tuple(out)
 
 
-def phi_of(f: FactoredInteger) -> int:
+def euler_phi(n: int) -> int:
     out = 1
-    for p, e in f.factors:
+    for p, e in factor(n):
         out *= (p - 1) * p ** (e - 1)
     return out
 
 
-def euler_phi(n: int) -> int:
-    return phi_of(factor(n))
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime divisors."""
-    return len(factor(n).factors)
-
-
-def mobius(n: int) -> int:
-    f = factor(n)
-    if any(e > 1 for _, e in f.factors):
-        return 0
-    return -1 if len(f.factors) % 2 else 1
-
-
-def squarefree_divisors(f: FactoredInteger):
-    """All (d, mobius(d)) with d a squarefree divisor of f.n."""
-    out = [(1, 1)]
-    for p, _ in f.factors:
-        out += [(d * p, -mu) for d, mu in out]
-    return out
-
-
-def coprime_count_up_to(t, a: int, factored: FactoredInteger = None) -> int:
+def coprime_count_up_to(t, a: int) -> int:
     """Count v with 1 <= v <= t and gcd(v, a) = 1, by divisor inclusion-exclusion.
 
     t may be int, float, or Fraction; Fraction and int bounds are floored exactly.
@@ -90,14 +58,16 @@ def coprime_count_up_to(t, a: int, factored: FactoredInteger = None) -> int:
         raise ValueError("needs a >= 1")
     if t < 1:
         return 0
-    f = factored if factored is not None else factor(a)
+    # (d, mobius(d)) for every squarefree divisor d of a
+    divisors = [(1, 1)]
+    for p, _ in factor(a):
+        divisors += [(d * p, -mu) for d, mu in divisors]
     total = 0
     as_float = isinstance(t, float)
-    for d, mu in squarefree_divisors(f):
+    for d, mu in divisors:
         q = math.floor(t / d) if as_float else t // d
         total += mu * int(q)
     return total
-
 
 def _max_omega(n: int) -> int:
     """Most distinct prime factors an integer in [1, n] can have."""

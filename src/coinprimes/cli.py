@@ -34,13 +34,16 @@ _METHOD_FLAGS = {
 }
 
 
-def _emit_records(args, columns):
+def _writes_records(args) -> bool:
+    return args.format != "table" or bool(args.out)
+
+
+def _emit_records(args, cols):
     """Write record columns as the flags ask: as --format csv (CSV_HEADER first) or jsonl, to --out or
-    stdout, and as CSV to --out under --format table. columns() gives the columns; it is called only
-    when records are written. Lines are built and written a bounded slice at a time (verify.write_lines)."""
-    if args.format == "table" and not args.out:
+    stdout, and as CSV to --out under --format table; nothing unless _writes_records(args). Lines are
+    built and written a bounded slice at a time (verify.write_lines)."""
+    if not _writes_records(args):
         return
-    cols = columns()
     fmt = "csv" if args.format == "table" else args.format
     fh = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     try:
@@ -61,6 +64,8 @@ def _compute_one(pair, method, brute_cap):
 
 
 def cmd_compute(args) -> int:
+    if args.exact_margins and args.format != "table" and not args.out:
+        raise ValueError("--exact-margins prints a text line, so with --format csv or jsonl it needs --out")
     pair = new_pair(args.a, args.b)
     methods = _METHOD_FLAGS[args.method]
     bounds.check_cap("s", pair.s, bounds.X_MAX_CAP)  # both caps before any method sieves [2, s]
@@ -76,11 +81,13 @@ def cmd_compute(args) -> int:
         for r in results:
             ratio = "n/a" if r.ratio_to_pi_s is None else format(r.ratio_to_pi_s, ".6g")
             print(f"pair={pair} s={pair.s} pi_star={r.pi_star} pi_s={r.pi_s} ratio={ratio} method={r.method}")
-    _emit_records(args, lambda: verify.pair_columns(args.a, args.b, pair.s, r0.pi_star, r0.pi_s))
-    if args.exact_margins and min(args.a, args.b) >= 3 and pair.s >= 2:
-        rhs = bounds.thm2_rhs(min(args.a, args.b), pair.s)
-        holds = bounds.pi_star_exceeds_thm2_rhs(r0.pi_star, min(args.a, args.b), pair.s, rhs)
-        print(f"thm2 margin: pi_star - rhs = {r0.pi_star - rhs!r} (guarded verdict: {str(holds).lower()})")
+    if not (_writes_records(args) or args.exact_margins):
+        return 0
+    cols = verify.pair_columns(args.a, args.b, pair.s, r0.pi_star, r0.pi_s)
+    _emit_records(args, cols)
+    if args.exact_margins and not math.isnan(cols.thm2_rhs[0]):  # thm2's threshold is nan outside its domain
+        margin = r0.pi_star - float(cols.thm2_rhs[0])
+        print(f"thm2 margin: pi_star - rhs = {margin!r} (guarded verdict: {str(bool(cols.thm2[0])).lower()})")
     return 0
 
 
@@ -117,6 +124,13 @@ def _positive_int(text):
     return n
 
 
+def _nonnegative_int(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _finite_float(text):
     x = float(text)
     if not math.isfinite(x):
@@ -147,7 +161,7 @@ def _run_sweep(args, lo, hi):
         brute_cap=args.brute_cap,
     )
     result = verify.sweep(cfg)
-    _emit_records(args, lambda: result.columns)
+    _emit_records(args, result.columns)
     return result
 
 
@@ -287,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     out_flags = argparse.ArgumentParser(add_help=False)
     out_flags.add_argument("--format", choices=("table", "csv", "jsonl"), default="table")
     out_flags.add_argument("--out")
-    out_flags.add_argument("--brute-cap", type=int, default=pistar.BRUTE_FORCE_CAP)
+    out_flags.add_argument("--brute-cap", type=_nonnegative_int, default=pistar.BRUTE_FORCE_CAP)
     a_flags = argparse.ArgumentParser(add_help=False)
     one_of = a_flags.add_mutually_exclusive_group()
     one_of.add_argument("--a", type=_positive_int)

@@ -18,11 +18,9 @@ def test_factor_reconstructs_and_is_prime():
     values = [1, 2, 3, 4, 60001, 2**10, 3 * 5 * 7 * 11, 999983]
     values += [rng.randrange(2, 10**9) for _ in range(50)]
     for n in values:
-        f = arith.factor(n)
-        assert f.n == n
         prod = 1
         last = 0
-        for p, e in f.factors:
+        for p, e in arith.factor(n):
             assert p > last  # ascending
             assert e >= 1
             assert is_prime(p)
@@ -42,30 +40,6 @@ def test_euler_phi_brute():
         assert arith.euler_phi(n) == expected
 
 
-def test_omega_and_mobius_brute():
-    for n in range(1, 300):
-        f = arith.factor(n)
-        assert arith.omega(n) == len(f.factors)
-        if any(e > 1 for _, e in f.factors):
-            assert arith.mobius(n) == 0
-        else:
-            assert arith.mobius(n) == (-1) ** len(f.factors)
-
-
-def test_squarefree_divisors_structure():
-    for n in (1, 2, 12, 30, 60001, 210, 1024):
-        f = arith.factor(n)
-        divs = arith.squarefree_divisors(f)
-        # one divisor per subset of the distinct primes
-        assert len(divs) == 2 ** len(f.factors)
-        assert len({d for d, _ in divs}) == len(divs)
-        for d, mu in divs:
-            assert n % d == 0
-            assert mu == arith.mobius(d)
-        # sum of mobius over squarefree divisors vanishes unless n = 1
-        assert sum(mu for _, mu in divs) == (1 if n == 1 else 0)
-
-
 def test_coprime_count_matches_brute():
     rng = random.Random(13)
     for _ in range(100):
@@ -78,10 +52,9 @@ def test_coprime_count_matches_brute():
 def test_coprime_count_fraction_and_float_bounds():
     # the count only depends on floor(t), and Fraction bounds floor exactly
     a = 60001
-    f = arith.factor(a)
-    n_int = arith.coprime_count_up_to(6000, a, factored=f)
-    n_frac = arith.coprime_count_up_to(Fraction(60001, 10), a, factored=f)
-    n_float = arith.coprime_count_up_to(6000.1, a, factored=f)
+    n_int = arith.coprime_count_up_to(6000, a)
+    n_frac = arith.coprime_count_up_to(Fraction(60001, 10), a)
+    n_float = arith.coprime_count_up_to(6000.1, a)
     assert n_int == n_frac == n_float == 5792
     assert arith.coprime_count_up_to(Fraction(1, 2), 7) == 0
     assert arith.coprime_count_up_to(0, 7) == 0
@@ -117,7 +90,7 @@ def test_coprime_counts_match_the_scalar_count(rows):
     primorials = itertools.accumulate(arith._FIRST_PRIMES, operator.mul)
     widest = max(itertools.takewhile(lambda q: q <= a_max, primorials), default=1)
     widest *= a_max // widest
-    assert arith.omega(widest) == arith._max_omega(a_max)
+    assert len(arith.factor(widest)) == arith._max_omega(a_max)
     rows = [*rows, (a_max // 7, widest), (a_max + 1, widest)]
     t, a = (np.array(col, dtype=np.int64) for col in zip(*rows))
     counts, phi = arith.coprime_counts(t, a)

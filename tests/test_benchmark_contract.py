@@ -2,8 +2,10 @@
 
 perfbench/spans.py replaces each (module, function) of its WRAPPED table with a
 timing wrapper, and perfbench/workloads.py re-derives the pinned grid lines
-with verify.evaluate_pair, record_to_csv, record_to_dict and CSV_HEADER, and
-runs its commands through cli.main. A rename or deletion of one of these
+with verify.evaluate_pair, record_to_csv, record_to_dict and CSV_HEADER,
+checks its grid by brute force with semigroup.new_pair and
+pistar.pi_star_bruteforce, and runs its commands through cli.main, as
+perfbench/worker.py does, which also reads bounds.REL_GUARD. A rename or deletion of one of these
 names, a CLI change that rejects one of those commands, or a change to the
 stdout the analytic-scan workload pins, breaks the benchmark, not these
 modules' own tests, so it is checked here. spans.py and
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 from test_verify import _InlineExecutor
 
-from coinprimes import cli, primes, verify
+from coinprimes import bounds, cli, pistar, primes, semigroup, verify
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,8 +42,12 @@ def test_wrapped_functions_resolve():
     for mod_name, fn_name in spans.WRAPPED:
         module = importlib.import_module(f"coinprimes.{mod_name}")
         assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
-    # the workloads' other names: evaluate_pair, record_to_csv and record_to_dict are wrapped above
+    # the workloads' other names: evaluate_pair, record_to_csv and record_to_dict are wrapped above; the grid
+    # oracle builds its pairs with new_pair and counts them by brute force, and worker.py runs cli.main and
+    # hands spans.install bounds.REL_GUARD
     assert isinstance(verify.CSV_HEADER, str)
+    assert callable(pistar.pi_star_bruteforce) and callable(semigroup.new_pair) and callable(cli.main)
+    assert isinstance(bounds.REL_GUARD, float)
 
 
 # The leading positional parameters whose values spans._attrs and spans.install read, by position,

@@ -73,8 +73,33 @@ def test_compute_all_methods_compare_pi_s(capsys, monkeypatch):
 
 def test_compute_exact_margins(capsys):
     rc, out, _ = run(capsys, "compute", "--a", "3", "--b", "5", "--exact-margins")
-    assert rc == 0
-    assert "thm2 margin" in out
+    assert (rc, out) == (
+        0,
+        "pair=<3,5> s=7 pi_star=2 pi_s=4 ratio=0.5 method=fast\n"
+        "thm2 margin: pi_star - rhs = -0.6979662974411913 (guarded verdict: false)\n",
+    )
+    rc, out, _ = run(capsys, "compute", "--a", "5", "--b", "7", "--exact-margins")
+    assert (rc, out) == (
+        0,
+        "pair=<5,7> s=23 pi_star=5 pi_s=9 ratio=0.555556 method=fast\n"
+        "thm2 margin: pi_star - rhs = 0.41539578450786063 (guarded verdict: true)\n",
+    )
+    # outside thm2's domain (a < 3) there is no margin to print
+    rc, out, _ = run(capsys, "compute", "--a", "2", "--b", "7", "--exact-margins")
+    assert (rc, out) == (0, "pair=<2,7> s=5 pi_star=2 pi_s=3 ratio=0.666667 method=fast\n")
+
+
+def test_compute_exact_margins_keeps_out_of_the_record_stream(tmp_path, capsys, monkeypatch):
+    """The margin is a text line: with --out it follows the records, and csv or jsonl on stdout exits 2 first."""
+    for fmt in ("csv", "jsonl"):
+        path = tmp_path / f"m.{fmt}"
+        rc, out, _ = run(capsys, "compute", "--a", "5", "--b", "7", "--exact-margins", "--format", fmt, "--out", str(path))
+        assert (rc, out) == (0, "thm2 margin: pi_star - rhs = 0.41539578450786063 (guarded verdict: true)\n")
+        assert path.read_text().count("\n") == (2 if fmt == "csv" else 1)
+    monkeypatch.setattr(pistar, "pi_star_fast", lambda *args: pytest.fail("method ran"))
+    for fmt in ("csv", "jsonl"):
+        rc, out, err = run(capsys, "compute", "--a", "5", "--b", "7", "--exact-margins", "--format", fmt)
+        assert (rc, out) == (2, "") and "--exact-margins" in err and "--out" in err, fmt
 
 
 def test_compute_brute_cap(capsys):
@@ -355,6 +380,13 @@ def test_bad_inputs(capsys, monkeypatch):
     for argv in nonpositive:
         rc, out, err = run(capsys, "verify", *argv)
         assert (rc, out) == (2, "") and f"argument {argv[-2]}:" in err, argv
+    # the brute-force cap is at least 0, and 0 skips brute force
+    negative_cap = [("compute", "--a", "3", "--b", "5", "--method", "brute", "--brute-cap", "-1")]
+    negative_cap += [("verify", "coj2", "--a", "3", "--b-max", "10", "--cross-check", "--brute-cap", "-5")]
+    for argv in negative_cap:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "") and "argument --brute-cap:" in err, argv
+    assert run(capsys, "verify", "coj2", "--a", "3", "--b-max", "10", "--cross-check", "--brute-cap", "0")[0] == 0
     # sizes past their caps exit 3 before any table is sieved, any sample drawn or any delta row built
     monkeypatch.setattr(primes, "primes_array", lambda *args: pytest.fail("prime table built"))
     monkeypatch.setattr(primes, "sieve_windows", lambda *args: pytest.fail("sieved"))
