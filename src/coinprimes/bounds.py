@@ -17,8 +17,9 @@ guarded verdicts are one-row calls of the column ones.
 The envelope validators count primes from the sieve bitmaps, with no prime
 table: pi(x) and the progression counts at every check point come from one
 walk of the sieve windows (primes.prefix_class_counts), and each
-Montgomery-Vaughan sample is one strided view of a prime bitmap. They compare
-whole columns of counts against the envelopes the same way.
+Montgomery-Vaughan sample is one strided view of a prime bitmap. On grids
+fixed by module constants but for x_max, they compare whole columns of counts
+against the envelopes, and one helper, _failures, decides and reports every row.
 """
 
 import math
@@ -32,11 +33,13 @@ from . import primes as primelib
 from .errors import DomainError, LimitExceeded
 
 REL_GUARD = 1e-9
-# The largest k_max of validate_mv_bound. _mv takes log(y / k) of the rounded quotient, so with y near
-# k its double is off by about 1.1e-16 * k relative: 1.1e-10 at k = 10**6, past REL_GUARD from about
-# k = 9 * 10**6, where a row outside the guard's margin could be decided from a wrong double.
-MV_K_MAX = 10**6
 _GUARD_PRECISIONS = (120, 240, 480, 960)
+
+# The check grids of the envelope validators, in which only x_max varies. _mv takes log(y / k) of the rounded
+# quotient, so with y near k its double is off by about 1.1e-16 * k relative: 1.1e-12 at MV_K_MAX, far inside
+# REL_GUARD, which it passes from about k = 9 * 10**6, where a row could be decided from a wrong double.
+RS_POINTS, AP_M_MAX, AP_POINTS = 200, 50, 20
+MV_K_MAX, MV_X_MAX = 10**4, 10**6
 
 # The largest sizes a run may ask for. X_MAX_CAP bounds the time of the envelope checks' sieve walk
 # (the progression check took 4 s at 10**9 on 2 vCPUs) and of a sweep's (verify.sieve_top). Each sample is
@@ -336,35 +339,46 @@ def log_spaced_ints(lo: int, hi: int, n: int) -> list:
     return sorted({min(max(int(round(v)), lo), hi) for v in vals})
 
 
-def validate_rs_envelope(x_max: int, points: int = 200) -> EnvelopeCheck:
-    """Check x/log x < pi(x) < rs_pi_upper(x) on a log-spaced grid from 17 to x_max, pi(x) from one sieve walk."""
-    xs = log_spaced_ints(17, x_max, points)
-    counts = primelib.prefix_class_counts({1: xs})[1][:, 0].tolist()
-    lows = [rs_pi_lower(x) for x in xs]
-    highs = [rs_pi_upper(x) for x in xs]
-    lower_ok = guarded_greater_column(counts, lows, _rows(_value, counts), _rows(_rs_lower, xs))
-    upper_ok = guarded_greater_column(highs, counts, _rows(_rs_upper, xs), _rows(_value, counts))
-    violations = []
-    for i in np.flatnonzero(~(lower_ok & upper_ok)).tolist():
-        x, c, lo, hi = xs[i], counts[i], lows[i], highs[i]
-        if not lower_ok[i]:
-            violations.append(BoundReport("rs-lower", {"x": x}, lo, float(c), False, c - lo))
-        if not upper_ok[i]:
-            violations.append(BoundReport("rs-upper", {"x": x}, float(c), hi, False, hi - c))
+def _failures(name, inputs, big, small, big_iv, small_iv) -> list:
+    """(i, report) for each row i where the guarded big_i > small_i fails: the report's inputs are the ints at i of
+    the columns in inputs (a scalar is every row's), lhs small_i, rhs big_i and margin rhs - lhs, Python floats."""
+    out = []
+    for i in np.flatnonzero(~guarded_greater_column(big, small, big_iv, small_iv)).tolist():
+        lhs, rhs = float(small[i]), float(big[i])
+        where = {key: int(c[i] if np.ndim(c) else c) for key, c in inputs.items()}
+        out.append((i, BoundReport(name, where, lhs, rhs, False, rhs - lhs)))
+    return out
+
+
+def _bracket(name, inputs, counts, lows, highs, low_expr, high_expr, *columns) -> list:
+    """The reports of the rows where lows_i < counts_i < highs_i fails, in row order, a row's lower side first;
+    the two bounds are the doubles of low_expr and high_expr over the columns."""
+    counts_iv = _rows(_value, counts)
+    lower = _failures(f"{name}-lower", inputs, counts, lows, counts_iv, _rows(low_expr, *columns))
+    upper = _failures(f"{name}-upper", inputs, highs, counts, _rows(high_expr, *columns), counts_iv)
+    return [report for _, report in sorted(lower + upper, key=lambda failure: failure[0])]
+
+
+def validate_rs_envelope(x_max: int) -> EnvelopeCheck:
+    """Check x/log x < pi(x) < rs_pi_upper(x) on the log-spaced grid from 17 to x_max, pi(x) from one sieve walk."""
+    xs = np.array(log_spaced_ints(17, x_max, RS_POINTS), dtype=np.int64)
+    counts = primelib.prefix_class_counts({1: xs})[1][:, 0]
+    lows, highs = _rs_lower(_logs, xs), _rs_upper(_logs, xs)  # rs_pi_lower and rs_pi_upper bit for bit
+    violations = _bracket("rs", {"x": xs}, counts, lows, highs, _rs_lower, _rs_upper, xs)
     return EnvelopeCheck("rosser-schoenfeld", 2 * len(xs), violations)
 
 
-def _ap_class_counts(xs_of: dict, m_max: int) -> dict:
+def _ap_class_counts(xs_of: dict) -> dict:
     """{m: counts} with counts[i, l] = #{primes q <= xs_of[m][i] : q = l (mod m)}, from one sieve walk.
 
-    Each m is served by M = m * (m_max // m), the largest multiple of m up to
-    m_max: the walk (primes.prefix_class_counts) counts the classes mod M at
-    the union of the x points of every m that M serves, and those fold into
-    the classes of each such m.
+    Each m is served by M = m * (AP_M_MAX // m), the largest multiple of m up
+    to AP_M_MAX: the walk (primes.prefix_class_counts) counts the classes mod
+    M at the union of the x points of every m that M serves, and those fold
+    into the classes of each such m.
     """
     served = {}
     for m in xs_of:
-        served.setdefault(m * (m_max // m), []).append(m)
+        served.setdefault(m * (AP_M_MAX // m), []).append(m)
     cuts = {big: np.unique(np.concatenate([xs_of[m] for m in ms])) for big, ms in served.items()}
     by_big = primelib.prefix_class_counts(cuts)
     out = {}
@@ -374,51 +388,36 @@ def _ap_class_counts(xs_of: dict, m_max: int) -> dict:
     return out
 
 
-def validate_ap_envelope(m_max: int, x_max: int, points: int = 20) -> EnvelopeCheck:
-    """Check the fixed-range progression envelope for every m <= m_max with 50m^2 <= x_max, coprime l."""
-    xs_of = {m: log_spaced_ints(50 * m * m, x_max, points) for m in range(1, m_max + 1) if 50 * m * m <= x_max}
-    by_m = _ap_class_counts(xs_of, m_max)
-    violations = []
-    checked = 0
+def validate_ap_envelope(x_max: int) -> EnvelopeCheck:
+    """Check the fixed-range progression envelope for every m <= AP_M_MAX with 50m^2 <= x_max, coprime l."""
+    xs_of = {m: log_spaced_ints(50 * m * m, x_max, AP_POINTS) for m in range(1, AP_M_MAX + 1) if 50 * m * m <= x_max}
+    by_m = _ap_class_counts(xs_of)
+    violations, checked = [], 0
     for m, xs in xs_of.items():
         ls = [l for l in range(m) if math.gcd(l, m) == 1]
-        counts = by_m[m][:, ls].T  # row l, column x
-        lows, highs = ap_fixed_range_bounds(np.array(xs, dtype=np.int64), m)
-        nx, phi = len(xs), len(ls)  # phi(m): the classes coprime to m
-        x_flat = np.tile(xs, len(ls))  # the x of each flat row
-        lower_ok = guarded_greater_column(counts, lows, _rows(_value, counts.flat), _rows(_ap_lower, x_flat, phi))
-        upper_ok = guarded_greater_column(highs, counts, _rows(_ap_upper, x_flat, phi), _rows(_value, counts.flat))
+        phi = len(ls)  # phi(m): the classes coprime to m
+        counts = by_m[m][:, ls].T.ravel()  # row j * len(xs) + i is class ls[j] at xs[i]
+        lows, highs = (np.tile(side, phi) for side in ap_fixed_range_bounds(np.array(xs, dtype=np.int64), m))
+        inputs = {"x": np.tile(xs, phi), "m": m, "l": np.repeat(ls, len(xs))}
+        violations += _bracket("ap", inputs, counts, lows, highs, _ap_lower, _ap_upper, inputs["x"], phi)
         checked += 2 * counts.size
-        for i in np.flatnonzero(~(lower_ok & upper_ok)).tolist():
-            row, col = divmod(i, nx)
-            x, l, c = xs[col], ls[row], int(counts.flat[i])
-            lo, hi = float(lows[col]), float(highs[col])
-            if not lower_ok.flat[i]:
-                violations.append(BoundReport("ap-lower", {"x": x, "m": m, "l": l}, lo, float(c), False, c - lo))
-            if not upper_ok.flat[i]:
-                violations.append(BoundReport("ap-upper", {"x": x, "m": m, "l": l}, float(c), hi, False, hi - c))
     return EnvelopeCheck("ap-fixed-range", checked, violations)
 
 
-def _mv_draws(samples: int, x_max: int, y_max: int, k_max: int, seed: int):
+def _mv_draws(samples: int, x_max: int, seed: int):
     """The int64 columns (x, y, k, l) of validate_mv_bound's samples, all from one generator seeded with seed:
-    k log-uniform in [1, k_max], y log-uniform in [k + 1, max(y_max, k + 1)], x uniform in [0, x_max) and
-    l uniform in [0, k), each of the first three from one column of rng.random."""
+    with x_max capped at MV_X_MAX, k log-uniform in [1, MV_K_MAX], y log-uniform in [k + 1, max(x_max, k + 1)],
+    x uniform in [0, x_max) and l uniform in [0, k), each of the first three from one column of rng.random."""
+    x_max = min(x_max, MV_X_MAX)
     rng = np.random.default_rng(seed)
-    k = np.maximum(np.exp(math.log(k_max) * rng.random(samples)).astype(np.int64), 1)
+    k = np.maximum(np.exp(math.log(MV_K_MAX) * rng.random(samples)).astype(np.int64), 1)
     lo = np.log(k + 1)
-    y = np.maximum(np.exp(lo + (math.log(y_max) - lo) * rng.random(samples)).astype(np.int64), k + 1)
+    y = np.maximum(np.exp(lo + (math.log(x_max) - lo) * rng.random(samples)).astype(np.int64), k + 1)
     x = (x_max * rng.random(samples)).astype(np.int64)
     return x, y, k, rng.integers(0, k)
 
 
-def validate_mv_bound(
-    samples: int = 10_000,
-    x_max: int = 1_000_000,
-    y_max: int = 1_000_000,
-    k_max: int = 10_000,
-    seed: int = 20260819,
-) -> EnvelopeCheck:
+def validate_mv_bound(samples: int = 10_000, x_max: int = MV_X_MAX, seed: int = 20260819) -> EnvelopeCheck:
     """Sample (x, y, k, l) with k < y and compare interval class counts to mv_upper.
 
     The samples are the seeded int64 columns of _mv_draws. The primes up to
@@ -426,23 +425,16 @@ def validate_mv_bound(
     primes n in (x, x + y] with n = l (mod k) is one strided view of it, from
     the least such n above x. phi(k) is one column (arith.coprime_counts) and
     the bounds one column of doubles, each row mv_upper bit for bit. When
-    k_max >= y_max a draw can have y = k + 1 > y_max; the bitmap reaches its
-    x + y all the same. k_max past MV_K_MAX raises DomainError before any draw.
+    MV_K_MAX >= x_max a draw can have y = k + 1 > x_max; the bitmap reaches
+    its x + y all the same.
     """
-    if k_max > MV_K_MAX:
-        raise DomainError(f"k_max = {k_max} is past {MV_K_MAX}, where the Montgomery-Vaughan double may pass REL_GUARD")
-    x, y, k, l = _mv_draws(samples, x_max, y_max, k_max, seed)
+    x, y, k, l = _mv_draws(samples, x_max, seed)
     ends = x + y + 1
     flags = primelib.sieve_segment(0, int(ends.max(initial=1)))
     firsts = x + 1 + (l - x - 1) % k  # the least n > x with n = l (mod k)
     spans = zip(firsts.tolist(), ends.tolist(), k.tolist())
     counts = np.fromiter((np.count_nonzero(flags[f:e:m]) for f, e, m in spans), dtype=np.int64, count=samples)
     phi = arith.coprime_counts(np.zeros_like(k), k)[1]
-    uppers = _mv(_logs, y, k, phi)
-    ok = guarded_greater_column(uppers, counts, _rows(_mv, y, k, phi), _rows(_value, counts))
-    violations = []
-    for i in np.flatnonzero(~ok).tolist():
-        count, bound = int(counts[i]), float(uppers[i])
-        inputs = {"x": int(x[i]), "y": int(y[i]), "k": int(k[i]), "l": int(l[i])}
-        violations.append(BoundReport("mv-upper", inputs, float(count), bound, False, bound - count))
-    return EnvelopeCheck("montgomery-vaughan", samples, violations)
+    uppers, inputs = _mv(_logs, y, k, phi), {"x": x, "y": y, "k": k, "l": l}
+    failures = _failures("mv-upper", inputs, uppers, counts, _rows(_mv, y, k, phi), _rows(_value, counts))
+    return EnvelopeCheck("montgomery-vaughan", samples, [report for _, report in failures])

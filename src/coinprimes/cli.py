@@ -131,6 +131,12 @@ def _nonnegative_int(text):
     return n
 
 
+def _path(text):
+    if not text:
+        raise argparse.ArgumentTypeError("must be a nonempty path")
+    return text
+
+
 def _finite_float(text):
     x = float(text)
     if not math.isfinite(x):
@@ -274,14 +280,9 @@ def _verify_bounds(args) -> int:
     if args.check in ("rs", "all") and x_max < 17:  # the Rosser-Schoenfeld grid starts at 17
         raise ValueError(f"--x-max must be at least 17 for --check {args.check}, got {x_max}")
     bounds.check_cap("--samples", args.samples, bounds.SAMPLES_CAP)
-    checks = []
-    if args.check in ("rs", "all"):
-        checks.append(bounds.validate_rs_envelope(x_max, points=200))
-    if args.check in ("ap", "all"):
-        checks.append(bounds.validate_ap_envelope(50, x_max, points=20))
-    if args.check in ("mv", "all"):
-        mv_max = min(x_max, 10**6)
-        checks.append(bounds.validate_mv_bound(samples=args.samples, x_max=mv_max, y_max=mv_max, seed=args.seed))
+    mv = partial(bounds.validate_mv_bound, args.samples, seed=args.seed)
+    validators = {"rs": bounds.validate_rs_envelope, "ap": bounds.validate_ap_envelope, "mv": mv}
+    checks = [validate(x_max) for name, validate in validators.items() if args.check in (name, "all")]
     ok = True
     for chk in checks:
         status = "PASS" if chk.ok else "FAIL"
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     pair_flags.add_argument("--b", type=int, required=True)
     out_flags = argparse.ArgumentParser(add_help=False)
     out_flags.add_argument("--format", choices=("table", "csv", "jsonl"), default="table")
-    out_flags.add_argument("--out")
+    out_flags.add_argument("--out", type=_path)
     out_flags.add_argument("--brute-cap", type=_nonnegative_int, default=pistar.BRUTE_FORCE_CAP)
     a_flags = argparse.ArgumentParser(add_help=False)
     one_of = a_flags.add_mutually_exclusive_group()
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_flags = argparse.ArgumentParser(add_help=False, parents=[out_flags])
     sweep_flags.add_argument("--b-max", type=_positive_int, help="check b <= B_MAX (implies the upto rule)")
     sweep_flags.add_argument("--b-rule", choices=(verify.B_RULE_UPTO, verify.B_RULE_50A2, verify.B_RULE_EXP))
-    sweep_flags.add_argument("--resume", metavar="PATH", help="JSON-lines checkpoint to append to and reuse")
+    sweep_flags.add_argument("--resume", type=_path, metavar="PATH", help="JSON-lines checkpoint to append to and reuse")
     sweep_flags.add_argument("--threads", type=_positive_int, default=1)
     sweep_flags.add_argument("--cross-check", action="store_true")
 

@@ -480,8 +480,11 @@ def _cross_check(pair, pi_star: int, pi_s: int, brute_cap: int):
 
 
 def check_pair(a: int, b: int, cross_check: bool = False, brute_cap: int = pistar.BRUTE_FORCE_CAP) -> VerificationRecord:
-    """Full verdict record for one pair, the one-b case of the sweep; optionally cross-checked."""
-    new_pair(a, b)  # NotCoprime or ValueError before any prime table is built
+    """Full verdict record for one pair, the one-b case of the sweep; optionally cross-checked. Like compute, it
+    raises LimitExceeded before it sieves when s, or a generator (a = 1 has s = -1), passes bounds.X_MAX_CAP."""
+    pair = new_pair(a, b)  # NotCoprime or ValueError before any prime table is built
+    bounds.check_cap("s", pair.s, bounds.X_MAX_CAP)
+    bounds.check_cap("max(a, b)", max(a, b), bounds.X_MAX_CAP)
     return _sweep_chunk(a, [b], cross_check, brute_cap).records()[0]
 
 

@@ -112,8 +112,8 @@ def test_07_delta_thresholds():
 
 
 def test_08_envelope_properties():
-    rs = bounds.validate_rs_envelope(10**7, points=200)
-    ap = bounds.validate_ap_envelope(50, 10**7, points=20)
+    rs = bounds.validate_rs_envelope(10**7)
+    ap = bounds.validate_ap_envelope(10**7)
     mv = bounds.validate_mv_bound(samples=10**4)
     good = rs.ok and ap.ok and mv.ok
     ok = _line(8, f"bound envelopes ({rs.n_checked}+{ap.n_checked}+{mv.n_checked} checks)", good)

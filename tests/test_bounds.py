@@ -214,15 +214,15 @@ def test_log_spaced_ints():
         bounds.log_spaced_ints(10, 5, 3)
 
 
-def _ap_envelope_reference(m_max, x_max, points):
+def _ap_envelope_reference(x_max):
     """The envelope check with per-class sorted searches: a mask per (m, l), then searchsorted."""
     p = primes.primes_array(x_max)
     violations = []
     checked = 0
-    for m in range(1, m_max + 1):
+    for m in range(1, bounds.AP_M_MAX + 1):
         if 50 * m * m > x_max:
             break
-        xs = bounds.log_spaced_ints(50 * m * m, x_max, points)
+        xs = bounds.log_spaced_ints(50 * m * m, x_max, bounds.AP_POINTS)
         for l in range(m):
             if math.gcd(l, m) != 1:
                 continue
@@ -247,14 +247,14 @@ def test_ap_envelope_counts_and_violation_order(monkeypatch):
         return 1.08 * lo + (x % 7) * 0.02 * lo, lo + (x % 5) * 0.03 * lo
 
     monkeypatch.setattr(bounds, "ap_fixed_range_bounds", too_tight)
-    for m_max, x_max, points in ((12, 10**6, 8), (2, 10**4, 5), (1, 5000, 3)):
-        got = bounds.validate_ap_envelope(m_max, x_max, points=points)
-        checked, want = _ap_envelope_reference(m_max, x_max, points)
+    kinds = set()
+    for x_max in (10**6, 10**4, 5000):  # every m <= AP_M_MAX, then m <= 14 and m <= 10
+        got = bounds.validate_ap_envelope(x_max)
+        checked, want = _ap_envelope_reference(x_max)
         assert got.n_checked == checked
         assert got.violations == want
         assert [repr(v) for v in got.violations] == [repr(v) for v in want]  # plain ints and floats
-    more = bounds.validate_ap_envelope(12, 10**6, 8)
-    kinds = {v.name for v in got.violations} | {v.name for v in more.violations}
+        kinds |= {v.name for v in got.violations}
     assert kinds == {"ap-lower", "ap-upper"}
 
 
@@ -273,38 +273,35 @@ def test_ap_bounds_column_matches_the_scalar_and_factors_m_once(monkeypatch):
     with pytest.raises(DomainError):
         bounds.ap_fixed_range_bounds(np.array([800, 799], dtype=np.int64), 4)
     factored.clear()
-    check = bounds.validate_ap_envelope(12, 10**6, 8)
-    assert check.ok and factored == list(range(1, 13))
+    check = bounds.validate_ap_envelope(10**6)
+    assert check.ok and factored == list(range(1, bounds.AP_M_MAX + 1))
 
 
-def test_mv_k_max_is_capped_where_the_double_stays_inside_the_guard(monkeypatch):
-    """Up to MV_K_MAX the double's relative error with y just above k is below REL_GUARD; past it no sample is drawn."""
+def test_mv_k_max_is_capped_where_the_double_stays_inside_the_guard():
+    """Up to MV_K_MAX, the largest k drawn, the double's relative error with y just above k is below REL_GUARD."""
     with mpmath.workprec(200):
         for k in (bounds.MV_K_MAX - 1, bounds.MV_K_MAX):
             for y in range(k + 1, k + 4):
                 exact = 2 * mpmath.mpf(y) / (arith.euler_phi(k) * mpmath.log(mpmath.mpf(y) / k))
-                assert abs(bounds.mv_upper(0, y, k, 0) / exact - 1) < bounds.REL_GUARD
-    assert bounds.validate_mv_bound(samples=20, x_max=1000, y_max=1000, k_max=bounds.MV_K_MAX, seed=1).n_checked == 20
-    monkeypatch.setattr(bounds, "_mv_draws", lambda *args: pytest.fail("samples drawn"))
-    with pytest.raises(DomainError):
-        bounds.validate_mv_bound(samples=20, x_max=1000, y_max=1000, k_max=bounds.MV_K_MAX + 1)
+                assert abs(bounds.mv_upper(0, y, k, 0) / exact - 1) < bounds.REL_GUARD / 100  # about 1.1e-16 * k
+    assert bounds.validate_mv_bound(samples=20, x_max=1000, seed=1).n_checked == 20
 
 
 def test_envelopes_decided_in_intervals_agree(monkeypatch):
     # with the guard wide open every comparison is built in interval arithmetic
     plain = (
-        bounds.validate_rs_envelope(10**5, points=30),
-        bounds.validate_ap_envelope(3, 10**5, points=4),
-        bounds.validate_mv_bound(samples=40, x_max=10**4, y_max=10**4, k_max=50, seed=3),
+        bounds.validate_rs_envelope(5000),
+        bounds.validate_ap_envelope(5000),  # m <= 10
+        bounds.validate_mv_bound(samples=40, x_max=5000, seed=3),
         verify._strict_half_window_ok(9),
     )
     calls = []
     real = bounds._interval_strictly_greater
     monkeypatch.setattr(bounds, "_interval_strictly_greater", lambda lf, rf: calls.append(1) or real(lf, rf))
     monkeypatch.setattr(bounds, "REL_GUARD", 1.0)
-    rs = bounds.validate_rs_envelope(10**5, points=30)
-    ap = bounds.validate_ap_envelope(3, 10**5, points=4)
-    mv = bounds.validate_mv_bound(samples=40, x_max=10**4, y_max=10**4, k_max=50, seed=3)
+    rs = bounds.validate_rs_envelope(5000)
+    ap = bounds.validate_ap_envelope(5000)
+    mv = bounds.validate_mv_bound(samples=40, x_max=5000, seed=3)
     assert (rs, ap, mv) == plain[:3]
     assert len(calls) == rs.n_checked + ap.n_checked + mv.n_checked
     # the strict-half window of a = 9 has 29 rows within 1e-3 of its bound
@@ -335,11 +332,11 @@ def test_guarded_greater_column_decides_only_close_rows():
 
 
 def test_validators_small_scale():
-    rs = bounds.validate_rs_envelope(10**5, points=60)
-    assert rs.ok and rs.n_checked == 120
-    ap = bounds.validate_ap_envelope(12, 10**6, points=6)
-    assert ap.ok and ap.n_checked > 0
-    mv = bounds.validate_mv_bound(samples=400, x_max=10**5, y_max=10**5, k_max=100, seed=7)
+    rs = bounds.validate_rs_envelope(10**5)
+    assert rs.ok and rs.n_checked == 398  # 199 distinct points of RS_POINTS = 200
+    ap = bounds.validate_ap_envelope(10**6)
+    assert ap.ok and ap.n_checked == 30960
+    mv = bounds.validate_mv_bound(samples=400, x_max=10**5, seed=7)
     assert mv.ok and mv.n_checked == 400
 
 
@@ -362,25 +359,27 @@ def test_mv_draws_are_seeded_int64_columns_in_range():
     def same(one, two):
         return all(np.array_equal(c, d) for c, d in zip(one, two))
 
-    for x_max, y_max, k_max in ((10**6, 10**6, 10**4), (1000, 1000, 10**4), (10**4, 10**4, 50), (50, 7, 1)):
+    for x_max in (10**7, 10**6, 10**4, 1000, 50, 1):
+        cap = min(x_max, bounds.MV_X_MAX)  # the largest x + 1 and y of a draw, but for y = k + 1
         for seed in range(24):
-            x, y, k, l = cols = bounds._mv_draws(300, x_max, y_max, k_max, seed)
+            x, y, k, l = cols = bounds._mv_draws(300, x_max, seed)
             assert all(c.dtype == np.int64 and c.shape == (300,) for c in cols)
-            assert same(cols, bounds._mv_draws(300, x_max, y_max, k_max, seed))
-            assert not same(cols, bounds._mv_draws(300, x_max, y_max, k_max, seed + 1))
-            assert ((1 <= k) & (k <= k_max)).all() and ((k + 1 <= y) & (y <= np.maximum(y_max, k + 1))).all()
-            assert ((0 <= x) & (x < x_max)).all() and ((0 <= l) & (l < k)).all()
-        assert all(c.dtype == np.int64 and c.shape == (0,) for c in bounds._mv_draws(0, x_max, y_max, k_max, 1))
+            assert same(cols, bounds._mv_draws(300, x_max, seed))
+            assert not same(cols, bounds._mv_draws(300, x_max, seed + 1))
+            assert ((1 <= k) & (k <= bounds.MV_K_MAX)).all() and ((k + 1 <= y) & (y <= np.maximum(cap, k + 1))).all()
+            assert ((0 <= x) & (x < cap)).all() and ((0 <= l) & (l < k)).all()
+        assert all(c.dtype == np.int64 and c.shape == (0,) for c in bounds._mv_draws(0, x_max, 1))
+    assert same(bounds._mv_draws(300, 10**7, 5), bounds._mv_draws(300, bounds.MV_X_MAX, 5))
 
 
-def _mv_draw_rows(samples, x_max, y_max, k_max, seed):
-    return list(zip(*(c.tolist() for c in bounds._mv_draws(samples, x_max, y_max, k_max, seed))))
+def _mv_draw_rows(samples, x_max, seed):
+    return list(zip(*(c.tolist() for c in bounds._mv_draws(samples, x_max, seed))))
 
 
 def test_mv_counts_and_bounds_match_per_sample_definition(monkeypatch):
     p = primes.primes_array(3 * 10**4)
     for seed in (1, 2, 3, 11):
-        for kw in (dict(x_max=10**4, y_max=10**4, k_max=100), dict(x_max=5000, y_max=2000, k_max=3000)):
+        for kw in (dict(x_max=10**4), dict(x_max=5000)):
             _, counts, uppers = _mv_columns(monkeypatch, samples=300, seed=seed, **kw)
             want_counts, want_uppers = [], []
             for x, y, k, l in _mv_draw_rows(300, seed=seed, **kw):
@@ -392,11 +391,11 @@ def test_mv_counts_and_bounds_match_per_sample_definition(monkeypatch):
 
 
 def test_mv_counts_reach_past_y_max(monkeypatch):
-    # with k_max >= y_max many draws have y = k + 1 > y_max, so x + y runs past x_max + y_max
-    check, counts, _ = _mv_columns(monkeypatch, samples=2000, x_max=1000, y_max=1000, k_max=10_000, seed=1)
+    # with MV_K_MAX >= x_max many draws have y = k + 1 > x_max, so x + y runs past 2 * x_max
+    check, counts, _ = _mv_columns(monkeypatch, samples=2000, x_max=1000, seed=1)
     assert check.ok and check.n_checked == 2000
     p = primes.primes_array(10**5)
-    draws = _mv_draw_rows(2000, 1000, 1000, 10_000, 1)
+    draws = _mv_draw_rows(2000, 1000, 1)
     assert max(x + y for x, y, _, _ in draws) > 2000
     want = [int(np.count_nonzero((p > x) & (p <= x + y) & (p % k == l))) for x, y, k, l in draws]
     assert counts == want

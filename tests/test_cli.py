@@ -387,6 +387,14 @@ def test_bad_inputs(capsys, monkeypatch):
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, "") and "argument --brute-cap:" in err, argv
     assert run(capsys, "verify", "coj2", "--a", "3", "--b-max", "10", "--cross-check", "--brute-cap", "0")[0] == 0
+    # an empty --out or --resume path exits 2 as it is parsed, before any pair is counted
+    empty_path = [("compute", "--a", "5", "--b", "7", *fmt, "--out", "") for fmt in ((), ("--format", "csv"))]
+    empty_path += [("verify", "coj2", "--a-max", "4", "--b-max", "20", flag, "") for flag in ("--out", "--resume")]
+    empty_path += [("verify", "thm1", "--a", "3", "--b-max", "20", "--resume", "", "--format", "csv")]
+    for argv in empty_path:
+        rc, out, err = run(capsys, *argv)
+        flag = argv[argv.index("") - 1]
+        assert (rc, out) == (2, "") and f"argument {flag}: must be a nonempty path" in err, argv
     # sizes past their caps exit 3 before any table is sieved, any sample drawn or any delta row built
     monkeypatch.setattr(primes, "primes_array", lambda *args: pytest.fail("prime table built"))
     monkeypatch.setattr(primes, "sieve_windows", lambda *args: pytest.fail("sieved"))
@@ -449,6 +457,29 @@ def test_verify_bounds_builds_no_table(capsys, monkeypatch, check):
     monkeypatch.setattr(primes, "prime_windows", lambda *args: pytest.fail("prime array built"))
     rc, out, _ = run(capsys, "verify", "bounds", "--check", check, "--x-max", "1e5", "--samples", "50")
     assert rc == 0 and out.startswith("PASS: ")
+
+
+def test_verify_bounds_fail_prints_the_first_20_violations(capsys, monkeypatch):
+    """A planted envelope that crosses the true counts exits 1 with the FAIL line and the first 20 reports,
+    in row order, a row's lower side before its upper side."""
+    real = bounds.ap_fixed_range_bounds
+
+    def too_tight(x, m):
+        lo, hi = real(x, m)
+        return 1.08 * lo + (x % 7) * 0.02 * lo, lo + (x % 5) * 0.03 * lo
+
+    monkeypatch.setattr(bounds, "ap_fixed_range_bounds", too_tight)
+    rc, out, err = run(capsys, "verify", "bounds", "--check", "ap", "--x-max", "1e4")
+    first, *rest = out.splitlines(keepends=True)
+    assert (rc, first, err) == (1, "FAIL: ap-fixed-range (2560 checks, 1893 violations)\n", "")
+    assert len(rest) == 20 and all(line.startswith("violation BoundReport(name='ap-") for line in rest)
+    assert [line.partition(", lhs=")[0] for line in rest[4:6]] == [
+        "violation BoundReport(name='ap-lower', inputs={'x': 153, 'm': 1, 'l': 0}",
+        "violation BoundReport(name='ap-upper', inputs={'x': 153, 'm': 1, 'l': 0}",
+    ]
+    assert hashlib.sha256("".join(rest).encode()).hexdigest() == (
+        "a89c29703b8634ac0c540db6e62cec02f6424b3e42374d801dad6bc539bafe6a"
+    )
 
 
 def test_verify_bounds_at_the_smallest_x_max(capsys):

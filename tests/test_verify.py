@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from coinprimes import bounds, pistar, primes, verify
 from coinprimes.cli import main
-from coinprimes.errors import CheckpointCorrupt, DomainError
+from coinprimes.errors import CheckpointCorrupt, DomainError, LimitExceeded
 from coinprimes.semigroup import new_pair
 
 
@@ -129,6 +129,19 @@ def test_check_pair_cross_methods():
     assert (rec.pi_star, rec.pi_s, rec.s) == (5, 9, 23)
     rec2 = verify.check_pair(3, 10001, cross_check=True)
     assert rec2.pi_star == 1741
+
+
+@pytest.mark.parametrize(
+    "a,b,message",
+    [(3, 10**12, f"s = {2 * 10**12 - 3} exceeds cap"), (1, 10**30, f"max\\(a, b\\) = {10**30} exceeds cap")],
+    ids=["s", "b-of-a-1"],
+)
+def test_check_pair_checks_its_caps_before_it_sieves(monkeypatch, a, b, message):
+    """s, or b where a = 1 makes s = -1, past bounds.X_MAX_CAP raises LimitExceeded before any sieve."""
+    for name in ("sieve_segment", "sieve_windows", "prime_windows", "class_counts"):
+        monkeypatch.setattr(primes, name, lambda *args: pytest.fail("sieved before the cap check"))
+    with pytest.raises(LimitExceeded, match=message):
+        verify.check_pair(a, b)
 
 
 def test_cross_check_is_independent_of_the_kernel():
