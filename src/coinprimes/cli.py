@@ -277,8 +277,10 @@ def _verify_coj1(args) -> int:
 def _verify_bounds(args) -> int:
     x_max = int(args.x_max)
     bounds.check_cap("--x-max", x_max, bounds.X_MAX_CAP)
-    if args.check in ("rs", "all") and x_max < 17:  # the Rosser-Schoenfeld grid starts at 17
-        raise ValueError(f"--x-max must be at least 17 for --check {args.check}, got {x_max}")
+    # the Rosser-Schoenfeld grid starts at 17, and the Montgomery-Vaughan draws take log x_max
+    least = {"rs": 17, "all": 17, "mv": 1}.get(args.check)
+    if least is not None and x_max < least:
+        raise ValueError(f"--x-max must be at least {least} for --check {args.check}, got {x_max}")
     bounds.check_cap("--samples", args.samples, bounds.SAMPLES_CAP)
     mv = partial(bounds.validate_mv_bound, args.samples, seed=args.seed)
     validators = {"rs": bounds.validate_rs_envelope, "ap": bounds.validate_ap_envelope, "mv": mv}
@@ -340,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--check", choices=("rs", "ap", "mv", "all"), default="all")
     t.add_argument("--x-max", type=_finite_float, default=1e7)
     t.add_argument("--samples", type=_positive_int, default=10**4)
-    t.add_argument("--seed", type=int, default=20260819)
+    t.add_argument("--seed", type=_nonnegative_int, default=20260819)
     t.set_defaults(func=_verify_bounds)
     return p
 

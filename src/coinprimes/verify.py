@@ -33,6 +33,7 @@ differently written line is still reused and the first bad one is reported
 with its line number or its pair.
 """
 
+import contextlib
 import itertools
 import json
 import math
@@ -307,34 +308,9 @@ def record_from_dict(obj) -> VerificationRecord:
     return _line_columns(obj).records()[0]
 
 
-_TAIL_BLOCK = 1 << 16
-
-
-def _trim_torn_tail(path: str):
-    """Drop a trailing half-written line so appends start on a fresh line.
-
-    Reads backwards from the end a block at a time, only as far as the last newline.
-    """
-    if not os.path.exists(path):
-        return
-    with open(path, "rb+") as fh:
-        end = cut = fh.seek(0, os.SEEK_END)
-        while cut > 0:
-            start = max(0, cut - _TAIL_BLOCK)
-            fh.seek(start)
-            nl = fh.read(cut - start).rfind(b"\n")
-            if nl >= 0:
-                cut = start + nl + 1
-                break
-            cut = start
-        if cut < end:
-            fh.truncate(cut)
-
-
-# the head of a canonical checkpoint line, up to thm2_rhs. The digit limits keep a, b, s = ab - a - b
-# and the counts inside int64. When a block holds as many heads as lines, the k-th head is taken as line
-# k's, else each line is matched on its own; the byte comparison of each line with the line derived from
-# its head catches a head taken from elsewhere, and a line with larger values, or without a head, is
+# the head of a canonical checkpoint line, up to thm2_rhs, matched at the start of each line. The digit
+# limits keep a, b, s = ab - a - b and the counts inside int64; the byte comparison of each line with the
+# line derived from its head catches the rest, and a line with larger values, or without a head, is
 # parsed and checked on its own.
 _CANONICAL_HEAD = re.compile(
     rb'\{"schema": 1, "a": (\d{1,9}), "b": (\d{1,9}), "s": \d+, "pi_star": (\d{1,18}), "pi_s": (\d{1,18}), '
@@ -367,9 +343,7 @@ def _checkpoint_block(lines: list, first: int) -> RecordColumns:
     first bad line raises.
     """
     data = b"".join(lines)
-    heads = _CANONICAL_HEAD.findall(data)
-    if len(heads) != len(lines):  # a line without a head, or with two: take each line's own
-        heads = [m.groups() if (m := _CANONICAL_HEAD.match(line)) else _NO_HEAD for line in lines]
+    heads = [m.groups() if (m := _CANONICAL_HEAD.match(line)) else _NO_HEAD for line in lines]
     digits = b" ".join(itertools.chain.from_iterable(heads))
     a, b, pi_star, pi_s = np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 4).T
     cols = _verdict_columns(a, b, a * b - a - b, pi_star, pi_s)
@@ -405,22 +379,27 @@ def _sorted_unique(cols: RecordColumns) -> RecordColumns:
 def load_checkpoint(path: str) -> RecordColumns:
     """Completed records as RecordColumns in (a, b) order; of two lines for one pair, the later one wins.
 
-    A final line without a terminating newline is an interrupted append; the
-    pair is simply recomputed. Any complete line that fails to decode, parse
-    or validate, or whose s and verdicts do not re-derive from its counts,
-    raises CheckpointCorrupt. Lines are read a block at a time, and a block of
-    canonical lines is checked by one byte comparison (_checkpoint_block).
+    A final line without a terminating newline is an interrupted append: its
+    pair is recomputed, and once every complete line has validated its bytes
+    are cut from the file, so that appends start on a fresh line. Any complete
+    line that fails to decode, parse or validate, or whose s and verdicts do
+    not re-derive from its counts, raises CheckpointCorrupt and leaves the file
+    as it was. Lines are read a block at a time, and a block of canonical lines
+    is checked by one byte comparison (_checkpoint_block).
     """
-    blocks = []
+    blocks, torn = [], b""
     if os.path.exists(path):
         with open(path, "rb") as fh:
             n_read = 0
             while lines := fh.readlines(_READ_HINT):
                 if not lines[-1].endswith(b"\n"):
-                    lines.pop()  # only the last line of the file can lack its newline
+                    torn = lines.pop()  # only the last line of the file can lack its newline
                 if lines:
                     blocks.append(_checkpoint_block(lines, n_read + 1))
                     n_read += len(lines)
+            end = fh.tell()
+        if torn:
+            os.truncate(path, end - len(torn))
     cols = _concat(blocks)
     blocks.clear()  # let the read blocks go before the rows are sorted
     return _sorted_unique(cols)
@@ -482,7 +461,7 @@ def _cross_check(pair, pi_star: int, pi_s: int, brute_cap: int):
 def check_pair(a: int, b: int, cross_check: bool = False, brute_cap: int = pistar.BRUTE_FORCE_CAP) -> VerificationRecord:
     """Full verdict record for one pair, the one-b case of the sweep; optionally cross-checked. Like compute, it
     raises LimitExceeded before it sieves when s, or a generator (a = 1 has s = -1), passes bounds.X_MAX_CAP."""
-    pair = new_pair(a, b)  # NotCoprime or ValueError before any prime table is built
+    pair = new_pair(a, b)  # NotCoprime or ValueError before anything is sieved
     bounds.check_cap("s", pair.s, bounds.X_MAX_CAP)
     bounds.check_cap("max(a, b)", max(a, b), bounds.X_MAX_CAP)
     return _sweep_chunk(a, [b], cross_check, brute_cap).records()[0]
@@ -790,12 +769,14 @@ def sweep(cfg: SweepConfig) -> SweepResult:
 
     Output order is deterministic: records are sorted by (a, b) regardless of
     worker count or resume state. Checkpointed pairs of the grid are reused, not
-    recomputed. A task is up to BLOCK_ROWS pending values of b of one a; a pool
-    gets about four tasks per worker, the tasks of the largest a first. Each a's
-    reused rows and new blocks are put in b order once, at the end, and
-    SweepResult.columns is the concatenation of those per-a columns. Past
-    bounds.GRID_CAP pairs (grid_size), or with a sieve walk past bounds.X_MAX_CAP
-    (sieve_top), it raises LimitExceeded first.
+    recomputed; the checkpoint is read once, by load_checkpoint, which also cuts
+    a torn final line off the file before anything is appended. A task is up to
+    BLOCK_ROWS pending values of b of one a; a pool gets about four tasks per
+    worker, the tasks of the largest a first. Each a's reused rows and new
+    blocks are put in b order once, at the end, and SweepResult.columns is the
+    concatenation of those per-a columns. Past bounds.GRID_CAP pairs
+    (grid_size), or with a sieve walk past bounds.X_MAX_CAP (sieve_top), it
+    raises LimitExceeded first.
     """
     bounds.check_cap("grid pairs", grid_size(cfg), bounds.GRID_CAP)
     bounds.check_cap("sieve bound", sieve_top(cfg), bounds.X_MAX_CAP)
@@ -814,12 +795,7 @@ def sweep(cfg: SweepConfig) -> SweepResult:
         rows = max(1, min(rows, -(-sum(bs.size for bs in pending.values()) // (4 * workers))))
     tasks = [(a, bs[i : i + rows]) for a, bs in pending.items() for i in range(0, bs.size, rows)]
 
-    if cfg.checkpoint_path:
-        _trim_torn_tail(cfg.checkpoint_path)
-        ckpt = open(cfg.checkpoint_path, "a", encoding="utf-8")
-    else:
-        ckpt = None
-    try:
+    with open(cfg.checkpoint_path, "a", encoding="utf-8") if cfg.checkpoint_path else contextlib.nullcontext() as ckpt:
 
         def emit(block):
             if ckpt is not None:
@@ -841,9 +817,6 @@ def sweep(cfg: SweepConfig) -> SweepResult:
                 ]
                 for fut in as_completed(futures):
                     emit(fut.result())
-    finally:
-        if ckpt is not None:
-            ckpt.close()
 
     finals = []
     while parts:  # ascending a; each a's blocks are let go once its copy in b order is made

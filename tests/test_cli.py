@@ -387,6 +387,9 @@ def test_bad_inputs(capsys, monkeypatch):
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, "") and "argument --brute-cap:" in err, argv
     assert run(capsys, "verify", "coj2", "--a", "3", "--b-max", "10", "--cross-check", "--brute-cap", "0")[0] == 0
+    # the seed of the Montgomery-Vaughan draws is at least 0, checked as it is parsed
+    rc, out, err = run(capsys, "verify", "bounds", "--seed", "-1", "--check", "mv")
+    assert (rc, out) == (2, "") and "argument --seed:" in err
     # an empty --out or --resume path exits 2 as it is parsed, before any pair is counted
     empty_path = [("compute", "--a", "5", "--b", "7", *fmt, "--out", "") for fmt in ((), ("--format", "csv"))]
     empty_path += [("verify", "coj2", "--a-max", "4", "--b-max", "20", flag, "") for flag in ("--out", "--resume")]
@@ -500,6 +503,17 @@ def test_verify_bounds_at_the_smallest_x_max(capsys):
             else:
                 want = lines[check] if check != "all" else lines["rs"] + lines["ap"] + lines["mv"]
                 assert (rc, out, err) == (0, "".join(line + "\n" for line in want), ""), argv
+
+
+def test_verify_bounds_mv_needs_x_max_at_least_1(capsys, monkeypatch):
+    """The Montgomery-Vaughan draws take log x_max: below 1, --check mv exits 2 before any sample is drawn."""
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "_mv_draws", lambda *args: pytest.fail("samples drawn"))
+        for x_max, got in (("0", 0), ("-5", -5), ("0.5", 0)):
+            argv = ("verify", "bounds", "--check", "mv", "--x-max", x_max)
+            assert run(capsys, *argv) == (2, "", f"error: --x-max must be at least 1 for --check mv, got {got}\n"), argv
+    rc, out, err = run(capsys, "verify", "bounds", "--check", "mv", "--x-max", "1", "--samples", "50", "--seed", "1")
+    assert (rc, out, err) == (0, "PASS: montgomery-vaughan (50 checks, 0 violations)\n", "")
 
 
 def test_corrupt_checkpoint_exit_code(tmp_path, capsys):

@@ -347,25 +347,6 @@ def test_record_from_dict_rederives():
             verify.record_from_dict(bad)
 
 
-def test_trim_torn_tail_reads_backwards(tmp_path, monkeypatch):
-    monkeypatch.setattr(verify, "_TAIL_BLOCK", 4)
-    path = tmp_path / "ck.jsonl"
-    cases = [
-        (b"", b""),
-        (b"one\ntwo\n", b"one\ntwo\n"),
-        (b"one\ntwo\nthree is torn", b"one\ntwo\n"),
-        (b"one\nx", b"one\n"),
-        (b"no newline anywhere", b""),
-        (b"\n" + b"t" * 13, b"\n"),
-    ]
-    for before, after in cases:
-        path.write_bytes(before)
-        verify._trim_torn_tail(str(path))
-        assert path.read_bytes() == after, before
-    verify._trim_torn_tail(str(tmp_path / "missing.jsonl"))
-    assert not (tmp_path / "missing.jsonl").exists()
-
-
 def test_record_from_dict_rejects_bad_shapes():
     good = verify.record_to_dict(verify.evaluate_pair(3, 5, 7, 2, 4))
     cases = []
@@ -406,6 +387,35 @@ def test_load_checkpoint_torn_tail(tmp_path):
         fh.write('{"schema": 1, "a": 3, "b"')  # interrupted append
     loaded = verify.load_checkpoint(str(path))
     assert list(zip(loaded.a.tolist(), loaded.b.tolist())) == [(3, 4), (3, 5)]
+
+
+@pytest.mark.parametrize("read_hint", [verify._READ_HINT, 700])
+def test_load_checkpoint_cuts_only_a_torn_tail(tmp_path, monkeypatch, capsys, read_hint):
+    """load_checkpoint leaves complete lines byte for byte, cuts a torn final line, creates no file, and cuts
+    nothing when a complete line is corrupt: the cut comes only after every complete line has validated."""
+    monkeypatch.setattr(verify, "_READ_HINT", read_hint)
+    lines = [line + "\n" for line in verify.json_lines(verify.sweep(_small_cfg()).columns)]
+    complete, torn = "".join(lines[:-1]).encode(), lines[-1][: len(lines[-1]) // 2].encode()
+    path = tmp_path / "ck.jsonl"
+    for before, after in ((complete, complete), (complete + torn, complete), (torn, b"")):
+        path.write_bytes(before)
+        loaded = verify.load_checkpoint(str(path))
+        assert path.read_bytes() == after
+        assert len(loaded.a) == after.count(b"\n")
+    missing = tmp_path / "missing.jsonl"
+    assert len(verify.load_checkpoint(str(missing)).a) == 0
+    assert not missing.exists()
+    corrupt = "".join(lines[:5] + ["garbage\n"] + lines[6:-1]).encode() + torn
+    path.write_bytes(corrupt)
+    with pytest.raises(CheckpointCorrupt, match=r"^line 6: invalid JSON \(Expecting value\)$"):
+        verify.load_checkpoint(str(path))
+    assert path.read_bytes() == corrupt
+    # through the CLI: exit 4, the same message, no output file, and the checkpoint as it was
+    out = tmp_path / "out.csv"
+    argv = ["verify", "coj2", "--a-range", "3:6", "--b-max", "40", "--resume", str(path), "--format", "csv", "--out", str(out)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "error: line 6: invalid JSON (Expecting value)\n"
+    assert path.read_bytes() == corrupt and not out.exists()
 
 
 def test_load_checkpoint_corrupt_line(tmp_path):
@@ -518,6 +528,12 @@ _BAD_AFTER_GOOD = [
     (
         _payload(_VALID, json.dumps(dict(verify.record_to_dict(verify.evaluate_pair(7, 30, 173, 60, 100)), ms=17))),
         "(7,30): pi_s = 100 is more primes than fit up to s = 173",
+    ),
+    # two canonical lines whose newline between them was lost: the first head, then data past one object
+    (
+        (verify.record_to_json(verify.evaluate_pair(7, 30, 173, 1, 40))
+         + verify.record_to_json(verify.evaluate_pair(7, 31, 179, 1, 41)) + "\n").encode(),
+        "line 1001: invalid JSON (Extra data)",
     ),
 ]
 
