@@ -6,13 +6,15 @@ Subcommands:
   gaps      list the gaps of one pair, flagging the primes
   verify    run a claim check: thm1, thm2, thm3, coj1, coj2, or bounds
 
-Exit codes: 0 pass, 1 violation found, 2 bad input (a verify target exits 2 on
-any flag it does not read), 3 resource cap hit, 4 corrupted checkpoint. Numbers
-are printed in full integer form; reals with 6 significant digits. Output is
-locale-independent and, for fixed flags, byte-stable across thread counts.
+Exit codes: 0 pass, 1 a FAIL line or a method disagreement, 2 bad input (a
+verify target exits 2 on any flag it does not read), 3 resource cap hit, 4
+corrupted checkpoint. Numbers are printed in full integer form; reals with 6
+significant digits. Output is locale-independent and, for fixed flags,
+byte-stable across thread counts.
 """
 
 import argparse
+import contextlib
 import math
 import sys
 from functools import partial
@@ -45,14 +47,10 @@ def _emit_records(args, cols):
     if not _writes_records(args):
         return
     fmt = "csv" if args.format == "table" else args.format
-    fh = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
-    try:
+    with open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         if fmt == "csv":
             fh.write(verify.CSV_HEADER + "\n")
         verify.write_lines(fh, verify.csv_lines if fmt == "csv" else verify.json_lines, cols)
-    finally:
-        if args.out is not None:
-            fh.close()
 
 
 def _compute_one(pair, method, brute_cap):
@@ -171,29 +169,45 @@ def _run_sweep(args, lo, hi):
     return result
 
 
+def _pairs(pairs) -> list:
+    return [f"{a},{b}" for a, b in pairs]
+
+
+def _status(ok: bool, what: str, violations) -> bool:
+    """Print "PASS: what" or "FAIL: what", then a "violation v" line for each v; return ok."""
+    print(f"{'PASS' if ok else 'FAIL'}: {what}")
+    for v in violations:
+        print(f"violation {v}")
+    return ok
+
+
+def _report(noun: str, found: list, expected: list, violations: list, passed: str, failed: str) -> int:
+    """Diff the pairs a grid found against the catalogued pairs it must reproduce (verify decides which), and
+    print the verdict: each found pair tagged expected or UNEXPECTED, a line per violation and per expected
+    pair not found, then "PASS: passed" or "FAIL: failed". Return the exit code, 0 or 1."""
+    for a, b in found:
+        print(f"{noun} {a},{b} ({'expected' if (a, b) in expected else 'UNEXPECTED'})")
+    for a, b in violations:
+        print(f"violation {a},{b}")
+    for a, b in expected:
+        if (a, b) not in found:
+            print(f"missing expected {noun} {a},{b}")
+    ok = not violations and set(found) == set(expected)
+    print(f"PASS: {passed}" if ok else f"FAIL: {failed}")
+    return 0 if ok else 1
+
+
 def _verify_exceptions_target(args) -> int:
     """The driver of thm2 and coj2: sweep, then diff the exception set."""
     label = args.target
     lo, hi = _a_bounds(args, 3, 10)
     if lo < 3:
         raise ValueError(f"{label} verification needs a >= 3")
-    result = _run_sweep(args, lo, hi)
-    found = result.summary.coj2_exceptions
-    cols = result.columns
-    expected = [(a, b) for a, b in verify.EXPECTED_COJ2_EXCEPTIONS if ((cols.a == a) & (cols.b == b)).any()]
-    unexpected = [p for p in found if p not in expected]
-    missing = [p for p in expected if p not in found]
-    print(f"{label}: checked {result.summary.n_pairs} pairs, a in [{lo},{hi}]")
-    for p in found:
-        tag = "expected" if p in expected else "UNEXPECTED"
-        print(f"exception {p[0]},{p[1]} ({tag})")
-    for p in missing:
-        print(f"missing expected exception {p[0]},{p[1]}")
-    if unexpected or missing:
-        print(f"FAIL: {label} exception set does not match")
-        return 1
-    print(f"PASS: {label} exceptions exactly match the expected set")
-    return 0
+    summary = _run_sweep(args, lo, hi).summary
+    print(f"{label}: checked {summary.n_pairs} pairs, a in [{lo},{hi}]")
+    found, expected = summary.coj2_exceptions, summary.expected_coj2_exceptions
+    passed, failed = f"{label} exceptions exactly match the expected set", f"{label} exception set does not match"
+    return _report("exception", found, expected, [], passed, failed)
 
 
 def _verify_thm1(args) -> int:
@@ -206,72 +220,42 @@ def _verify_thm1(args) -> int:
     bounds.check_cap("--samples", args.samples, bounds.SAMPLES_CAP)
     if grid:
         lo, hi = _a_bounds(args, 1, 10)
-        result = _run_sweep(args, lo, hi)
-        bad = result.summary.thm1_failures
-        print(f"thm1: checked {result.summary.n_pairs} pairs, a in [{lo},{hi}]")
-        if bad:
-            for a, b in bad:
-                print(f"violation {a},{b}")
-            print("FAIL: thm1 grid check found violations")
-            return 1
-        print("PASS: thm1 holds on the whole grid")
-        return 0
-    case_ids = (1, 2, 3, 4) if args.case == "all" else (int(args.case),)
-    ok = True
-    for cid in case_ids:
+        summary = _run_sweep(args, lo, hi).summary
+        print(f"thm1: checked {summary.n_pairs} pairs, a in [{lo},{hi}]")
+        passed, failed = "thm1 holds on the whole grid", "thm1 grid check found violations"
+        return _report("", [], [], summary.thm1_failures, passed, failed)
+    passed = []
+    for cid in (1, 2, 3, 4) if args.case == "all" else (int(args.case),):
         rep = verify.reproduce_thm1_cases(cid, case1_samples=args.samples)
-        bits = []
-        if rep.n_pairs:
-            bits.append(f"{rep.n_pairs} pairs, {len(rep.computational_failures)} failures")
-        if rep.analytic_min is not None:
-            bits.append(f"analytic min {rep.analytic_min:.6g} vs threshold {rep.analytic_threshold:.6g}")
-        status = "PASS" if rep.ok else "FAIL"
-        print(f"{status}: thm1 case {cid} (" + "; ".join(bits) + ")")
-        for a, b in rep.computational_failures:
-            print(f"violation {a},{b}")
-        ok = ok and rep.ok
-    return 0 if ok else 1
+        pairs = f"{rep.n_pairs} pairs, {len(rep.computational_failures)} failures; " if rep.n_pairs else ""
+        analytic = f"analytic min {rep.analytic_min:.6g} vs threshold {rep.analytic_threshold:.6g}"
+        passed.append(_status(rep.ok, f"thm1 case {cid} ({pairs}{analytic})", _pairs(rep.computational_failures)))
+    return 0 if all(passed) else 1
 
 
 def _verify_thm3(args) -> int:
     lo, hi = _a_bounds(args, 3, 10)
     if not 3 <= lo <= hi <= 10:  # before any a runs, so a bad range prints nothing
         raise DomainError("thm3 covers 3 <= a <= 10")
-    ok = True
+    passed = []
     for a in range(lo, hi + 1):
         rep = verify.reproduce_thm3(a)
-        status = "PASS" if rep.passed else "FAIL"
         window = "" if rep.window_ok is None else f", window check {'ok' if rep.window_ok else 'VIOLATED'}"
-        print(
-            f"{status}: thm3 a={a} (exceptions {rep.threshold_exceptions} vs expected "
+        what = (
+            f"thm3 a={a} (exceptions {rep.threshold_exceptions} vs expected "
             f"{rep.expected_threshold_exceptions}; equalities {rep.half_equalities} vs expected "
             f"{rep.expected_half_equalities}; direct checks to b={rep.b_direct_max}{window})"
         )
-        for p in rep.half_failures:
-            print(f"violation {p[0]},{p[1]}")
-        ok = ok and rep.passed
-    return 0 if ok else 1
+        passed.append(_status(rep.passed, what, _pairs(rep.half_failures)))
+    return 0 if all(passed) else 1
 
 
 def _verify_coj1(args) -> int:
     res = verify.scan_coj1_equalities(args.a_max, b_max=args.b_max)
-    expected = [
-        (a, b) for a, b in verify.EXPECTED_COJ1_EQUALITIES if a <= args.a_max and (args.b_max is None or b <= args.b_max)
-    ]
     print(f"coj1: a=1 family sampled at {res.a1_family_checked} values of b (all equalities)")
-    for a, b in res.equalities:
-        tag = "expected" if (a, b) in expected else "UNEXPECTED"
-        print(f"equality {a},{b} ({tag})")
-    for a, b in res.failures:
-        print(f"violation {a},{b}")
-    missing = [p for p in expected if p not in res.equalities]
-    for a, b in missing:
-        print(f"missing expected equality {a},{b}")
-    if res.failures or missing or set(res.equalities) != set(expected):
-        print("FAIL: coj1 scan does not match the expected equality set")
-        return 1
-    print("PASS: coj1 strict everywhere except the expected equalities")
-    return 0
+    passed = "coj1 strict everywhere except the expected equalities"
+    failed = "coj1 scan does not match the expected equality set"
+    return _report("equality", res.equalities, res.expected_equalities, res.failures, passed, failed)
 
 
 def _verify_bounds(args) -> int:
@@ -285,14 +269,12 @@ def _verify_bounds(args) -> int:
     mv = partial(bounds.validate_mv_bound, args.samples, seed=args.seed)
     validators = {"rs": bounds.validate_rs_envelope, "ap": bounds.validate_ap_envelope, "mv": mv}
     checks = [validate(x_max) for name, validate in validators.items() if args.check in (name, "all")]
-    ok = True
-    for chk in checks:
-        status = "PASS" if chk.ok else "FAIL"
-        print(f"{status}: {chk.name} ({chk.n_checked} checks, {len(chk.violations)} violations)")
-        for v in chk.violations[:20]:
-            print(f"violation {v}")
-        ok = ok and chk.ok
-    return 0 if ok else 1
+    # a list, not a generator into all(): every check is printed, with at most 20 of its violations
+    passed = [
+        _status(chk.ok, f"{chk.name} ({chk.n_checked} checks, {len(chk.violations)} violations)", chk.violations[:20])
+        for chk in checks
+    ]
+    return 0 if all(passed) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

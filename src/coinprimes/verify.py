@@ -16,9 +16,11 @@ guarded (see bounds.guarded_strictly_greater); pure integer verdicts are exact.
 Every finite scan of full counts over a grid of pairs (coj2 and thm2, the
 exception and half-bound scans of thm3, which share one sweep per a, the
 half-bound scan of coj1, thm1 case 4 and the thm1 grid) is one call of
-sweep, and _summarize is the one place verdict columns become pair lists;
-thm1 case 3, which counts only the gap primes up to s/20, calls the kernel
-(pistar.gap_prime_counts, a walk over sieve windows; no prime table) itself.
+sweep, and _summarize is the one place verdict columns become pair lists,
+and the one place that decides which catalogued pairs a grid must reproduce
+(those that are rows of it); thm1 case 3, which counts only the gap primes
+up to s/20, calls the kernel (pistar.gap_prime_counts, a walk over sieve
+windows; no prime table) itself.
 The sweep carries records as columns (RecordColumns), BLOCK_ROWS values of b
 of one a at a time, from the kernel to the verdicts:
 _verdict_columns decides every verdict of a block at once, csv_lines and
@@ -521,7 +523,10 @@ def scan_coj2_exceptions(a_max: int, b_rule: str = B_RULE_50A2, b_max: int = Non
 
 @dataclass(frozen=True)
 class Coj1ScanResult:
+    """The half-bound scan; it passes with no failure and equalities exactly the expected ones of its grid."""
+
     equalities: list  # (a, b) pairs with a >= 2 and 2*pi_star == pi_s
+    expected_equalities: list  # SweepSummary.expected_coj1_equalities of the scan's grid
     failures: list  # (a, b) pairs with 2*pi_star < pi_s (expected none)
     a1_family_checked: int  # sampled b count for a = 1; each is an equality
 
@@ -537,7 +542,8 @@ def scan_coj1_equalities(a_max: int, b_max: int = None) -> Coj1ScanResult:
     failures = [(1, r.pair.b) for r in a1 if 2 * r.pi_star != r.pi_s]
     rule = B_RULE_EXP if b_max is None else B_RULE_UPTO
     summary = sweep(SweepConfig(a_min=2, a_max=a_max, b_rule=rule, b_max=b_max)).summary
-    return Coj1ScanResult(summary.coj1_equalities, failures + summary.coj1_failures, len(a1))
+    expected = summary.expected_coj1_equalities
+    return Coj1ScanResult(summary.coj1_equalities, expected, failures + summary.coj1_failures, len(a1))
 
 
 # ----------------------------------------------------------------------
@@ -581,21 +587,20 @@ def reproduce_thm3(a: int) -> Thm3Report:
     # one sweep to the larger of the two limits: the exceptions are read over b <= 50a^2, the half bound to b_direct
     b_exc, b_direct = b_limit(B_RULE_50A2, a), exp_threshold_b_max(a)
     cols = sweep(SweepConfig(a_min=a, a_max=a, b_rule=B_RULE_UPTO, b_max=max(b_exc, b_direct))).columns
-    exceptions = _summarize(cols.take(cols.b <= b_exc)).coj2_exceptions
-    expected_exc = [(x, y) for x, y in EXPECTED_COJ2_EXCEPTIONS if x == a]
-    half = _summarize(cols.take(cols.b <= b_direct))
-    expected_eq = [(3, 5)] if a == 3 else []
+    exc, half = _summarize(cols.take(cols.b <= b_exc)), _summarize(cols.take(cols.b <= b_direct))
     window_ok = _strict_half_window_ok(a) if a in _WINDOW_S_MIN else None
-    equalities, failures = half.coj1_equalities, half.coj1_failures
-    return Thm3Report(a, b_direct, exceptions, expected_exc, equalities, expected_eq, failures, window_ok)
+    found = (exc.coj2_exceptions, exc.expected_coj2_exceptions, half.coj1_equalities, half.expected_coj1_equalities)
+    return Thm3Report(a, b_direct, *found, half.coj1_failures, window_ok)
 
 
 @dataclass(frozen=True)
 class Thm1CaseReport:
+    """One thm1 case: each has an analytic branch, and cases 3 and 4 a computational one; ok when both hold."""
+
     case_id: int
     n_pairs: int  # pairs in the computational branch (0 when purely analytic)
     computational_failures: list
-    analytic_min: float  # None when the case has no analytic branch
+    analytic_min: float
     analytic_threshold: float
     analytic_ok: bool
 
@@ -677,9 +682,14 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepSummary:
+    """A grid's verdicts as (a, b) lists in (a, b) order, and the expected_ lists: the pairs of a catalogue
+    (EXPECTED_COJ2_EXCEPTIONS, EXPECTED_COJ1_EQUALITIES) that are rows of the grid, which it must find exactly."""
+
     n_pairs: int
     coj2_exceptions: list
+    expected_coj2_exceptions: list
     coj1_equalities: list
+    expected_coj1_equalities: list
     coj1_failures: list
     thm1_failures: list
 
@@ -748,10 +758,15 @@ def _summarize(cols: RecordColumns) -> SweepSummary:
     def pairs(mask):
         return list(zip(cols.a[mask].tolist(), cols.b[mask].tolist()))
 
+    def rows(catalogue):
+        return [(a, b) for a, b in catalogue if ((cols.a == a) & (cols.b == b)).any()]
+
     return SweepSummary(
         n_pairs=len(cols.a),
         coj2_exceptions=pairs(~cols.thm2),
+        expected_coj2_exceptions=rows(EXPECTED_COJ2_EXCEPTIONS),
         coj1_equalities=pairs(cols.coj1 == 0),
+        expected_coj1_equalities=rows(EXPECTED_COJ1_EQUALITIES),
         coj1_failures=pairs(cols.coj1 < 0),
         thm1_failures=pairs(~cols.thm1),
     )

@@ -165,6 +165,14 @@ def test_guarded_verdicts_basic():
     assert not bounds.case4_constant_exceeds(15, Fraction("0.06"))
 
 
+def test_guard_decides_far_apart_doubles_without_intervals():
+    def never(iv):
+        pytest.fail("interval built")
+
+    for lhs, rhs in ((2.0, 1.0), (1.0, 2.0), (-1e300, 1e300), (1e-3, 0.0), (0.0, 1e-3)):
+        assert bounds.guarded_strictly_greater(lhs, rhs, never, never) is (lhs > rhs), (lhs, rhs)
+
+
 def test_guard_escalates_on_float_ties():
     # equal doubles, separated only in interval arithmetic
     assert bounds.guarded_strictly_greater(

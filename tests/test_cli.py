@@ -196,6 +196,125 @@ def test_verify_coj1_small(capsys):
     assert "equality 3,5 (expected)" in out
 
 
+COJ2_HEAD = "coj2: checked 31 pairs, a in [3,4]\nexception 3,4 (expected)\n"
+COJ1_HEAD = "coj1: a=1 family sampled at 100 values of b (all equalities)\nequality 2,3 (expected)\n"
+# (argv, the catalogue patched in verify, exit code, stdout)
+CATALOGUE_RUNS = [
+    (
+        "verify coj2 --a-max 4 --b-max 30",
+        {"EXPECTED_COJ2_EXCEPTIONS": ((3, 4), (3, 7))},
+        1,
+        COJ2_HEAD + "exception 3,5 (UNEXPECTED)\nexception 3,7 (expected)\nFAIL: coj2 exception set does not match\n",
+    ),
+    (
+        "verify coj2 --a-max 4 --b-max 30",
+        {"EXPECTED_COJ2_EXCEPTIONS": ((3, 4), (3, 5), (3, 7), (4, 5))},
+        1,
+        COJ2_HEAD + "exception 3,5 (expected)\nexception 3,7 (expected)\nmissing expected exception 4,5\n"
+        "FAIL: coj2 exception set does not match\n",
+    ),
+    (
+        "verify thm3 --a 3",
+        {"EXPECTED_COJ2_EXCEPTIONS": ((3, 4),)},
+        1,
+        "FAIL: thm3 a=3 (exceptions [(3, 4), (3, 5), (3, 7)] vs expected [(3, 4)]; "
+        "equalities [(3, 5)] vs expected [(3, 5)]; direct checks to b=12)\n",
+    ),
+    (
+        "verify coj1 --a-max 4",
+        {"EXPECTED_COJ1_EQUALITIES": ((2, 3), (2, 5), (3, 5), (3, 8))},
+        1,
+        COJ1_HEAD + "equality 2,5 (expected)\nequality 3,5 (expected)\nmissing expected equality 3,8\n"
+        "FAIL: coj1 scan does not match the expected equality set\n",
+    ),
+    (
+        "verify coj1 --a-max 4",
+        {"EXPECTED_COJ1_EQUALITIES": ((2, 3),)},
+        1,
+        COJ1_HEAD + "equality 2,5 (UNEXPECTED)\nequality 3,5 (UNEXPECTED)\n"
+        "FAIL: coj1 scan does not match the expected equality set\n",
+    ),
+    # a catalogued pair is expected only when it is a row of the grid that ran: at a = 3 the exp-threshold
+    # rule stops at b = 12, so (3, 20) is not missing, as an exception outside the coj2 grid is not
+    (
+        "verify coj1 --a-max 4",
+        {"EXPECTED_COJ1_EQUALITIES": ((2, 3), (2, 5), (3, 5), (3, 20))},
+        0,
+        COJ1_HEAD + "equality 2,5 (expected)\nequality 3,5 (expected)\n"
+        "PASS: coj1 strict everywhere except the expected equalities\n",
+    ),
+]
+
+
+CATALOGUE_IDS = ["coj2-unexpected", "coj2-missing", "thm3-unexpected", "coj1-missing", "coj1-unexpected", "coj1-off-grid"]
+
+
+@pytest.mark.parametrize("argv,catalogue,want_rc,want_out", CATALOGUE_RUNS, ids=CATALOGUE_IDS)
+def test_found_pairs_are_diffed_against_the_catalogue(capsys, monkeypatch, argv, catalogue, want_rc, want_out):
+    for name, pairs in catalogue.items():
+        monkeypatch.setattr(verify, name, pairs)
+    assert run(capsys, *argv.split()) == (want_rc, want_out, "")
+
+
+# (argv, lines, last line, sha256 of the full stdout) under a kernel that counts no gap prime when b = 1 (mod 7)
+PLANTED_VIOLATIONS = [
+    (
+        "verify thm2 --a-max 6 --b-max 60",
+        22,
+        "FAIL: thm2 exception set does not match",
+        "851fca12609ad8974c4cdd12003995182501163f132a5fcbae1beabbfb910e21",
+    ),
+    (
+        "verify thm1 --a-max 6 --b-max 60",
+        23,
+        "FAIL: thm1 grid check found violations",
+        "602da65ad3982088d58c5e74bcb7c6f8858b431b6a109962f3c38290810d076b",
+    ),
+    ("verify thm1 --case 4", 196, "violation 15,176", "40bb83a597670bbc5011657b083cbb336833921f46dcb3f5f5012e252ce7eb63"),
+    ("verify thm3 --a 5", 12, "violation 5,99", "b7d817964615fde6c95b4b31832e680494d5b150b6cb6de3c79cc963f9a207e4"),
+    (
+        "verify coj1 --a-max 6",
+        35,
+        "FAIL: coj1 scan does not match the expected equality set",
+        "8ab4e8b0fd88075d403e2ca355bf7eb13e826b28e4795145b5233483fe7cc15b",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,n_lines,last,want_sha256", PLANTED_VIOLATIONS, ids=[p[0] for p in PLANTED_VIOLATIONS])
+def test_planted_violations_exit_1(capsys, monkeypatch, argv, n_lines, last, want_sha256):
+    """Every target that reads the kernel reports the pairs whose counts were zeroed, and exits 1."""
+    real = pistar.gap_prime_counts
+
+    def kernel(a, bs, below=None):
+        pi_star, pi_s = real(a, bs, below)
+        pi_star[bs % 7 == 1] = 0
+        return pi_star, pi_s
+
+    monkeypatch.setattr(pistar, "gap_prime_counts", kernel)
+    rc, out, err = run(capsys, *argv.split())
+    lines = out.splitlines()
+    assert (rc, len(lines), lines[-1], err) == (1, n_lines, last, "")
+    assert "violation 5,8" in lines or "exception 5,8 (UNEXPECTED)" in lines
+    assert hashlib.sha256(out.encode()).hexdigest() == want_sha256
+
+
+def test_thm1_case_3_reports_every_pair_without_low_gap_primes(capsys, monkeypatch):
+    real = pistar.gap_prime_counts
+
+    def kernel(a, bs, below=None):
+        pi_star, pi_s = real(a, bs, below)
+        return (pi_star if below is None else pi_star * 0), pi_s
+
+    monkeypatch.setattr(pistar, "gap_prime_counts", kernel)
+    rc, out, err = run(capsys, "verify", "thm1", "--case", "3")
+    first, *rest = out.splitlines()
+    want = "FAIL: thm1 case 3 (90482 pairs, 90482 failures; analytic min 0.042544 vs threshold 0.0425)"
+    assert (rc, first, err) == (1, want, "")
+    assert len(rest) == 90482 and rest[0] == "violation 16,17" and rest[-1] == "violation 180,997"
+    assert hashlib.sha256(out.encode()).hexdigest() == "5a19ecc04d2b91b7aac83fe659df385971d3ecf94f3d745be7e717025d72c68a"
+
+
 def test_verify_bounds_rs(capsys):
     rc, out, _ = run(capsys, "verify", "bounds", "--check", "rs", "--x-max", "1e5")
     assert rc == 0
@@ -370,6 +489,9 @@ def test_bad_inputs(capsys, monkeypatch):
     for argv in bad:
         rc, out, _ = run(capsys, "verify", *argv)
         assert (rc, out) == (2, ""), argv
+    # the thm2 threshold is defined for a >= 3 only
+    for argv in [("coj2", "--a", "2"), ("thm2", "--a-range", "2:5")]:
+        assert run(capsys, "verify", *argv) == (2, "", f"error: {argv[0]} verification needs a >= 3\n"), argv
     for x_max in ("inf", "1e400", "nan"):
         rc, _, err = run(capsys, "verify", "bounds", "--x-max", x_max)
         assert rc == 2 and "--x-max" in err and "Traceback" not in err, x_max

@@ -244,7 +244,7 @@ def test_scan_coj2_exceptions_small():
 
 def test_scan_coj1_equalities_small():
     res = verify.scan_coj1_equalities(3, b_max=30)
-    assert res.equalities == [(2, 3), (2, 5), (3, 5)]
+    assert res.equalities == res.expected_equalities == [(2, 3), (2, 5), (3, 5)]
     assert res.failures == []
     assert res.a1_family_checked == 100
 
@@ -252,8 +252,8 @@ def test_scan_coj1_equalities_small():
 def test_reproduce_thm3_smallest():
     rep = verify.reproduce_thm3(3)
     assert rep.passed
-    assert rep.threshold_exceptions == [(3, 4), (3, 5), (3, 7)]
-    assert rep.half_equalities == [(3, 5)]
+    assert rep.threshold_exceptions == rep.expected_threshold_exceptions == [(3, 4), (3, 5), (3, 7)]
+    assert rep.half_equalities == rep.expected_half_equalities == [(3, 5)]
     assert rep.b_direct_max == 12
     assert rep.window_ok is None
     with pytest.raises(DomainError):
@@ -565,18 +565,19 @@ def test_sweep_summary_and_order():
     keys = [(r.a, r.b) for r in res.records]
     assert keys == sorted(keys)
     assert res.summary.n_pairs == len(res.records)
-    assert res.summary.coj2_exceptions == [(3, 4), (3, 5), (3, 7)]
+    assert res.summary.coj2_exceptions == res.summary.expected_coj2_exceptions == [(3, 4), (3, 5), (3, 7)]
     assert res.summary.coj1_failures == []
     assert res.summary.thm1_failures == []
     assert (3, 5) in res.summary.coj1_equalities
+    assert res.summary.expected_coj1_equalities == [(3, 5)]  # (2, 3) and (2, 5) are not rows of a >= 3
 
 
 def test_sweep_empty_range():
     res = verify.sweep(verify.SweepConfig(a_min=7, a_max=6))
     assert res.records == []
     assert res.summary.n_pairs == 0
-    assert res.summary.coj2_exceptions == []
-    assert res.summary.coj1_equalities == []
+    assert res.summary.coj2_exceptions == res.summary.expected_coj2_exceptions == []
+    assert res.summary.coj1_equalities == res.summary.expected_coj1_equalities == []
     assert res.summary.coj1_failures == []
     assert res.summary.thm1_failures == []
 
